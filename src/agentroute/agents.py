@@ -11,6 +11,7 @@ the true value; that bias is accepted and documented here.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -201,7 +202,10 @@ class MockProfile:
     distribution is a point-mass/uniform mixture whose blend is solved so
     the token entropy hits the (possibly jittered) target; the map from
     blend to entropy is monotone on [0, ln vocab_size], so any target in
-    that range is reachable by bisection.
+    that range is reachable by bisection. A zero-jitter target is a
+    constant, so its blend is solved once per (target, vocab_size) and
+    memoised; jittered targets are drawn and solved afresh on every call
+    and bypass the memo.
     """
 
     agent_id: int
@@ -231,34 +235,49 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mixture_entropy(eps: np.ndarray, vocab_size: int) -> np.ndarray:
-    # Entropy of (1 - eps) * point_mass + eps * uniform(vocab_size).
-    eps = np.asarray(eps, dtype=np.float64)
-    p_top = (1.0 - eps) + eps / vocab_size
-    p_rest = eps / vocab_size
-    return -(_xlogx(p_top) + (vocab_size - 1) * _xlogx(p_rest))
-
-
 def solve_mixture_eps(targets, vocab_size: int, tol: float = 1e-9) -> np.ndarray:
     """Invert the mixture entropy curve by bisection; exact endpoints snap
-    to 0 and 1."""
+    to 0 and 1.
+
+    The mixture is (1 - eps) * point_mass + eps * uniform(vocab_size). Each
+    iteration evaluates its entropy once, at the new midpoint, which serves
+    both the convergence check and the next iteration's comparison.
+    """
     t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
     limit = math.log(vocab_size)
     if np.any((t < 0.0) | (t > limit + 1e-12)):
         raise ValueError("target entropy outside [0, ln vocab_size]")
     lo = np.zeros_like(t)
     hi = np.ones_like(t)
+
+    def entropy(eps):
+        # Every midpoint lies in (0, 1], so both masses are positive and
+        # x log x needs no zero mask; the operation order matches _xlogx.
+        p_top = (1.0 - eps) + eps / vocab_size
+        p_rest = eps / vocab_size
+        return -(p_top * np.log(p_top) + (vocab_size - 1) * (p_rest * np.log(p_rest)))
+
+    mid = 0.5 * (lo + hi)
+    h = entropy(mid)
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        above = _mixture_entropy(mid, vocab_size) > t
+        above = h > t
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-        if np.max(np.abs(_mixture_entropy(0.5 * (lo + hi), vocab_size) - t)) <= tol:
+        mid = 0.5 * (lo + hi)
+        h = entropy(mid)
+        if np.max(np.abs(h - t)) <= tol:
             break
-    eps = 0.5 * (lo + hi)
+    eps = mid
     eps[t <= 0.0] = 0.0
     eps[t >= limit - 1e-15] = 1.0
     return eps
+
+
+@functools.lru_cache(maxsize=1024)
+def _constant_target_eps(target: float, vocab_size: int) -> float:
+    # Zero-jitter targets are profile constants, so their solve repeats on
+    # every call; jittered targets are fresh per call and never come here.
+    return float(solve_mixture_eps(target, vocab_size)[0])
 
 
 def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
@@ -278,10 +297,10 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
     if jitter > 0.0:
         targets = np.clip(target + jitter * rng.standard_normal(count),
                           0.0, math.log(vocab))
+        unique, inverse = np.unique(targets, return_inverse=True)
+        eps = solve_mixture_eps(unique, vocab)[inverse]
     else:
-        targets = np.full(count, float(target))
-    unique, inverse = np.unique(targets, return_inverse=True)
-    eps = solve_mixture_eps(unique, vocab)[inverse]
+        eps = np.full(count, _constant_target_eps(float(target), vocab))
     top_symbol = rng.integers(0, vocab, size=count)
     dists = np.repeat((eps / vocab)[:, None], vocab, axis=1)
     dists[np.arange(count), top_symbol] += 1.0 - eps
@@ -303,9 +322,12 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
 
 def _entropy_from_top_logprobs(top_logprobs) -> float:
     lps = np.asarray([entry["logprob"] for entry in top_logprobs], dtype=np.float64)
+    top = np.max(lps)
+    if not np.isfinite(top):  # NaN (a null logprob), +inf, or every entry -inf
+        raise ValueError(f"logprobs {lps.tolist()} have no finite maximum")
     # Renormalize the truncated distribution; this under-estimates the true
     # entropy because the tail mass is folded into the top-j entries.
-    shifted = np.exp(lps - np.max(lps))
+    shifted = np.exp(lps - top)
     p = shifted / shifted.sum()
     nz = p[p > 0.0]
     return float(-np.sum(nz * np.log(nz)) + 0.0)
@@ -343,19 +365,30 @@ def chat_execute(agent: AgentSpec, prompt: Prompt, endpoint: str, *,
         text = choice["message"]["content"]
     except (ValueError, KeyError, IndexError) as exc:
         raise TransportError(f"malformed chat response from {endpoint}: {exc}") from exc
+    if not isinstance(text, str):
+        raise TransportError(
+            f"malformed chat response from {endpoint}: message content is not a string")
     logprobs = choice.get("logprobs") or {}
     content = logprobs.get("content")
     if not content:
-        token_count = int(data.get("usage", {}).get("completion_tokens") or 0)
+        usage = data.get("usage", {})
+        if not isinstance(usage, dict):
+            raise TransportError(
+                f"malformed chat response from {endpoint}: usage is not an object")
+        token_count = int(usage.get("completion_tokens") or 0)
         if token_count < 1:
             token_count = max(1, len(text.split()))
         return AgentResponse(agent_id=agent.agent_id, step_index=step_index,
                              text=text, token_entropies=(),
                              token_count=token_count, predictive_entropy=None)
     entropies = []
-    for token in content:
-        tops = token.get("top_logprobs") or [{"logprob": token["logprob"]}]
-        entropies.append(_entropy_from_top_logprobs(tops))
+    try:
+        for token in content:
+            tops = token.get("top_logprobs") or [{"logprob": token["logprob"]}]
+            entropies.append(_entropy_from_top_logprobs(tops))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise TransportError(
+            f"malformed logprobs in chat response from {endpoint}: {exc!r}") from exc
     return AgentResponse(agent_id=agent.agent_id, step_index=step_index,
                          text=text, token_entropies=tuple(entropies),
                          token_count=len(entropies),

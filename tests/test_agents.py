@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from agentroute import agents
 from agentroute.agents import (CONTINUE, ChatPoolBackend, Final, MockPoolBackend,
                                MockProfile, MockSummarizer, RESPONSES_HEADER,
                                TOOL_UNAVAILABLE_NOTICE, TOOLS, ToolError,
@@ -175,6 +176,82 @@ def test_mock_interior_target_with_bisection_oracle():
     assert abs(mixture_entropy(impl_eps) - 1.0) <= 1e-9
 
 
+def _reference_solve_mixture_eps(targets, vocab_size, tol=1e-9):
+    # The original bisection, which evaluates the entropy twice per
+    # iteration through the zero-masked x log x; the solver must match it
+    # bit for bit.
+    def xlogx(p):
+        out = np.zeros_like(p)
+        nz = p > 0.0
+        out[nz] = p[nz] * np.log(p[nz])
+        return out
+
+    def mixture_entropy(eps):
+        eps = np.asarray(eps, dtype=np.float64)
+        p_top = (1.0 - eps) + eps / vocab_size
+        p_rest = eps / vocab_size
+        return -(xlogx(p_top) + (vocab_size - 1) * xlogx(p_rest))
+
+    t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
+    limit = math.log(vocab_size)
+    lo = np.zeros_like(t)
+    hi = np.ones_like(t)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = mixture_entropy(mid) > t
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        if np.max(np.abs(mixture_entropy(0.5 * (lo + hi)) - t)) <= tol:
+            break
+    eps = 0.5 * (lo + hi)
+    eps[t <= 0.0] = 0.0
+    eps[t >= limit - 1e-15] = 1.0
+    return eps
+
+
+@pytest.mark.parametrize("vocab", [2, 3, 16, 50, 1000])
+def test_solve_mixture_eps_matches_reference_bisection_bitwise(vocab):
+    rng = np.random.default_rng(vocab)
+    limit = math.log(vocab)
+    for count in (1, 5, 12):
+        for trial in range(20):
+            targets = rng.uniform(0.0, limit, size=count)
+            if trial == 0:
+                targets[0] = 0.0
+                targets[-1] = limit
+            got = solve_mixture_eps(targets, vocab)
+            assert got.tobytes() == _reference_solve_mixture_eps(targets, vocab).tobytes()
+    for endpoint in (0.0, limit):
+        got = solve_mixture_eps(endpoint, vocab)
+        assert got.tobytes() == _reference_solve_mixture_eps(endpoint, vocab).tobytes()
+
+
+def test_mock_constant_target_memo_cold_and_warm_agree():
+    memo = agents._constant_target_eps
+    for vocab in (2, 16, 50):
+        for target in (0.0, 0.3, 0.69, math.log(vocab)):
+            for seed in (1, 2):
+                memo.cache_clear()
+                cold = mock_execute(_profile(target, vocab=vocab), Prompt("x"),
+                                    "default", seed=seed)
+                warm = mock_execute(_profile(target, vocab=vocab), Prompt("x"),
+                                    "default", seed=seed)
+                assert memo.cache_info().hits == 1
+                assert cold == warm
+                reference = _reference_solve_mixture_eps(target, vocab)
+                assert memo(float(target), vocab) == reference[0]
+
+
+def test_mock_jittered_targets_bypass_the_memo():
+    mock_execute(_profile(0.8), Prompt("x"), "default", seed=1)
+    before = agents._constant_target_eps.cache_info()
+    for seed in range(5):
+        mock_execute(_profile(0.8, jitter=0.25), Prompt("x"), "default", seed=seed)
+    after = agents._constant_target_eps.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_mock_hits_any_target_on_a_grid():
     vocab = 16
     for target in np.linspace(0.0, math.log(vocab), 41):
@@ -319,6 +396,36 @@ def test_chat_transport_failure():
 def test_chat_http_error(http_server):
     url = http_server(lambda p, b, h: (429, {}))
     with pytest.raises(TransportError, match="HTTP 429"):
+        chat_execute(_spec(), Prompt("s"), url)
+
+
+@pytest.mark.parametrize("token", [
+    {"token": "a", "top_logprobs": []},
+    {"token": "a", "logprob": None},
+    {"token": "a", "top_logprobs": [{"token": "a", "logprob": "high"}]},
+    "a",
+])
+def test_chat_malformed_logprob_entry_is_transport_error(http_server, token):
+    url = http_server(lambda p, b, h: (200, _chat_payload("a", [token])))
+    with pytest.raises(TransportError, match="malformed logprobs"):
+        chat_execute(_spec(), Prompt("s"), url)
+
+
+def test_chat_null_usage_is_transport_error(http_server):
+    payload = _chat_payload("no logprobs here", None)
+    payload["usage"] = None
+    url = http_server(lambda p, b, h: (200, payload))
+    with pytest.raises(TransportError, match="usage"):
+        chat_execute(_spec(), Prompt("s"), url)
+
+
+@pytest.mark.parametrize("with_logprobs", [False, True])
+def test_chat_null_content_is_transport_error(http_server, with_logprobs):
+    tokens = [{"token": "a", "logprob": 0.0,
+               "top_logprobs": [{"token": "a", "logprob": 0.0}]}]
+    payload = _chat_payload(None, tokens if with_logprobs else None)
+    url = http_server(lambda p, b, h: (200, payload))
+    with pytest.raises(TransportError, match="content"):
         chat_execute(_spec(), Prompt("s"), url)
 
 
