@@ -15,7 +15,7 @@ from .core import RouterConfig, derive_seed
 from .learning import confidence, ranking_loss, ranking_loss_grad, total_loss
 from .numerics import softmax, softmax_vjp
 from .router import backward_trajectory, flat_to_params, \
-    forward_trajectory, init_params, params_to_flat
+    forward_trajectory, init_params, params_to_flat, reduce_gradients
 
 
 def _trajectory_loss(query_emb, responses, conf_targets, params, config) -> float:
@@ -32,7 +32,7 @@ def _analytic_gradient(query_emb, responses, conf_targets, params, config):
     for step, conf in zip(forward.steps, conf_targets):
         probs = softmax(step.z)
         dz_list.append(softmax_vjp(probs, ranking_loss_grad(probs, conf)) * scale)
-    return backward_trajectory(forward, dz_list)
+    return reduce_gradients([backward_trajectory(forward, dz_list)])
 
 
 def gradient_check(seed: int = 0, *, pool_size: int = 6, embed_dim: int = 16,

@@ -182,16 +182,18 @@ class AdamWHyper:
 
 @dataclass
 class OptimizerState:
+    """AdamW moments plus two scratch buffers, all None until the first
+    step creates them, so setting up an optimizer costs nothing."""
+
     first_moment: object
     second_moment: object
     step_count: int
     hyper: AdamWHyper
+    scratch: tuple | None = None
 
 
 def init_optimizer(params, hyper: AdamWHyper) -> OptimizerState:
-    zeros = map_arrays(np.zeros_like, params)
-    zeros2 = map_arrays(np.zeros_like, params)
-    return OptimizerState(first_moment=zeros, second_moment=zeros2,
+    return OptimizerState(first_moment=None, second_moment=None,
                           step_count=0, hyper=hyper)
 
 
@@ -199,9 +201,19 @@ def adamw_step(params, grads, state: OptimizerState):
     """Decoupled-weight-decay Adam with bias correction.
 
     Mutates the optimizer state in place and returns the updated parameter
-    container; the input parameters are left untouched.
+    container; the input parameters are left untouched. Intermediates go
+    through two float64 scratch buffers, sized for the largest tensor and
+    reused for every tensor and step, in the operation order of
+        m = beta1 m + (1 - beta1) g
+        v = beta2 v + (1 - beta2) g^2
+        p - lr ((m / bias1) / (sqrt(v / bias2) + epsilon) + weight_decay p)
     """
     hyper = state.hyper
+    if state.first_moment is None:
+        state.first_moment = map_arrays(np.zeros_like, params)
+        state.second_moment = map_arrays(np.zeros_like, params)
+        largest = max(p.size for _, p in iter_arrays(params))
+        state.scratch = (np.empty(largest), np.empty(largest))
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - hyper.beta1 ** t
@@ -211,15 +223,21 @@ def adamw_step(params, grads, state: OptimizerState):
         g = getattr(grads, name)
         m = getattr(state.first_moment, name)
         v = getattr(state.second_moment, name)
+        a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch)
         m *= hyper.beta1
-        m += (1.0 - hyper.beta1) * g
+        m += np.multiply(g, 1.0 - hyper.beta1, out=a)
         v *= hyper.beta2
-        v += (1.0 - hyper.beta2) * np.square(g)
-        m_hat = m / bias1
-        v_hat = v / bias2
+        np.square(g, out=a)
+        v += np.multiply(a, 1.0 - hyper.beta2, out=a)
+        np.divide(m, bias1, out=a)
+        np.divide(v, bias2, out=b)
         with np.errstate(invalid="ignore", over="ignore"):
-            new = p - hyper.lr * (m_hat / (np.sqrt(v_hat) + hyper.epsilon)
-                                  + hyper.weight_decay * p)
+            np.sqrt(b, out=b)
+            b += hyper.epsilon
+            a /= b
+            a += np.multiply(p, hyper.weight_decay, out=b)
+            a *= hyper.lr
+            new = p - a
         if not np.all(np.isfinite(new)):
             raise ValueError(f"non-finite optimizer update for {name}")
         updated[name] = new

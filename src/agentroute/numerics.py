@@ -51,10 +51,6 @@ def map_arrays(fn, container):
     return type(container)(**{name: fn(arr) for name, arr in iter_arrays(container)})
 
 
-def combine_arrays(fn, a, b):
-    return type(a)(**{name: fn(arr, getattr(b, name)) for name, arr in iter_arrays(a)})
-
-
 def global_norm(container) -> float:
     total = 0.0
     for _, arr in iter_arrays(container):

@@ -24,10 +24,10 @@ from .core import ConfigError, RouterConfig, StepRecord, STEP_LIMIT, SUMMARIZER,
     Trajectory, derive_seed, new_trajectory, validate_config
 from .learning import AdamWHyper, adamw_step, clip_gradients, confidence, \
     get_loss, init_optimizer, total_loss
-from .numerics import combine_arrays, map_arrays, softmax, softmax_vjp
+from .numerics import softmax, softmax_vjp
 from .router import ForwardPass, RouterParams, attach_responses, \
-    backward_trajectory, init_state, override_logits, route_step, \
-    zeros_like_params
+    backward_trajectory, init_state, override_logits, reduce_gradients, \
+    route_step
 
 
 class OrchestrationError(RuntimeError):
@@ -175,7 +175,7 @@ def _dense_pass(runtime: Runtime, query: str, params: RouterParams,
     """One dense query: run config.train_steps steps executing all agents,
     accumulate the per-step ranking losses, and backpropagate through time.
 
-    Returns (mean loss, parameter gradients, per-step (selected, entropies),
+    Returns (mean loss, BPTT gradient rows, per-step (selected, entropies),
     trajectory or None). Any agent failure aborts the query: the entropy
     targets would be incomplete.
     """
@@ -224,16 +224,43 @@ def _dense_pass(runtime: Runtime, query: str, params: RouterParams,
     mean_loss = total_loss(losses)
     scale = 1.0 / len(steps)
     forward = ForwardPass(steps=steps, params=params, config=config)
-    grads = backward_trajectory(forward, [dz * scale for dz in dz_list])
+    rows = backward_trajectory(forward, [dz * scale for dz in dz_list])
     if traj is not None:
         traj.final_answer = summarize_final(query, prev_routed, runtime.summarizer)
         traj.terminated_by = STEP_LIMIT
-    return mean_loss, grads, infos, traj
+    return mean_loss, rows, infos, traj
 
 
-def _batches(items, size):
-    for start in range(0, len(items), size):
-        yield items[start: start + size]
+def _dense_epoch(runtime: Runtime, queries, params: RouterParams,
+                 config: RouterConfig, settings: TrainingSettings, state,
+                 label_prefix: str, make_trajectory: bool):
+    """One pass over the queries in batches of settings.batch_size, shared
+    by training and test-time adaptation.
+
+    Each query runs densely, BPTT included; each batch then turns the
+    gradient rows of all its queries into the batch-mean gradient at once,
+    clips it, and takes one AdamW step. Returns the updated parameters and,
+    per batch, the (loss, per-step infos, trajectory or None) of each query.
+    """
+    loss_fn, grad_fn = get_loss(settings.loss_kind, settings.triplet_margin)
+    results = []
+    for start in range(0, len(queries), settings.batch_size):
+        batch = queries[start: start + settings.batch_size]
+        batch_results, batch_rows = [], []
+        for query_index, query in enumerate(batch, start=start):
+            try:
+                loss, rows, infos, traj = _dense_pass(
+                    runtime, query, params, config, f"{label_prefix}q{query_index}",
+                    loss_fn, grad_fn, make_trajectory)
+            except (TransportError, OrchestrationError, ValueError) as exc:
+                raise OrchestrationError(
+                    f"training query {query_index} failed: {exc}") from exc
+            batch_results.append((loss, infos, traj))
+            batch_rows.append(rows)
+        grads = reduce_gradients(batch_rows, scale=1.0 / len(batch))
+        params = adamw_step(params, clip_gradients(grads, settings.clip_norm), state)
+        results.append(batch_results)
+    return params, results
 
 
 def _agreement(selected_ids, entropy_vec) -> bool:
@@ -258,39 +285,23 @@ def train(runtime: Runtime, queries, params: RouterParams, config: RouterConfig,
         raise ValueError("at least one training query is required")
     if runtime.pool.size != config.pool_size:
         raise ConfigError("pool size does not match config.pool_size")
-    loss_fn, grad_fn = get_loss(settings.loss_kind, settings.triplet_margin)
     state = init_optimizer(params, settings.adamw())
     report = TrainReport()
     hits = 0
     total_steps = 0
     for epoch in range(1, settings.epochs + 1):
+        params, results = _dense_epoch(runtime, queries, params, config, settings,
+                                       state, f"e{epoch}:", make_trajectory=False)
         epoch_batch_losses = []
-        for batch_index, batch in enumerate(_batches(queries, settings.batch_size),
-                                            start=1):
-            grad_sum = zeros_like_params(params)
-            loss_sum = 0.0
-            for offset, query in enumerate(batch):
-                query_index = (batch_index - 1) * settings.batch_size + offset
-                label = f"e{epoch}:q{query_index}"
-                try:
-                    loss, grads, infos, _ = _dense_pass(
-                        runtime, query, params, config, label, loss_fn, grad_fn,
-                        make_trajectory=False)
-                except (TransportError, OrchestrationError, ValueError) as exc:
-                    raise OrchestrationError(
-                        f"training query {query_index} failed: {exc}") from exc
-                loss_sum += loss
-                grad_sum = combine_arrays(np.add, grad_sum, grads)
-                if epoch == settings.epochs:
+        for batch_index, batch_results in enumerate(results, start=1):
+            mean_loss = sum(loss for loss, _, _ in batch_results) / len(batch_results)
+            report.loss_rows.append((epoch, batch_index, mean_loss))
+            epoch_batch_losses.append(mean_loss)
+            if epoch == settings.epochs:
+                for _, infos, _ in batch_results:
                     for selected, entropy_vec in infos:
                         hits += _agreement(selected, entropy_vec)
                         total_steps += 1
-            mean_loss = loss_sum / len(batch)
-            mean_grads = map_arrays(lambda arr: arr / len(batch), grad_sum)
-            clipped = clip_gradients(mean_grads, settings.clip_norm)
-            params = adamw_step(params, clipped, state)
-            report.loss_rows.append((epoch, batch_index, mean_loss))
-            epoch_batch_losses.append(mean_loss)
         report.epoch_losses.append(float(np.mean(epoch_batch_losses)))
     report.routing_agreement = hits / total_steps if total_steps else 0.0
     report.params = params
@@ -321,23 +332,12 @@ def test_time_train(runtime: Runtime, queries, params: RouterParams,
         raise ValueError(f"stream must yield at least t_dense={t_dense} queries")
     if runtime.pool.size != config.pool_size:
         raise ConfigError("pool size does not match config.pool_size")
-    loss_fn, grad_fn = get_loss(settings.loss_kind, settings.triplet_margin)
-    state = init_optimizer(params, settings.adamw())
-    trajectories: list[Trajectory] = []
     dense, sparse = queries[:t_dense], queries[t_dense:]
-    for batch_index, batch in enumerate(_batches(dense, settings.batch_size), start=1):
-        grad_sum = zeros_like_params(params)
-        for offset, query in enumerate(batch):
-            query_index = (batch_index - 1) * settings.batch_size + offset
-            label = f"ttt:q{query_index}"
-            loss, grads, _, traj = _dense_pass(runtime, query, params, config,
-                                               label, loss_fn, grad_fn,
-                                               make_trajectory=True)
-            grad_sum = combine_arrays(np.add, grad_sum, grads)
-            trajectories.append(traj)
-        mean_grads = map_arrays(lambda arr: arr / len(batch), grad_sum)
-        params = adamw_step(params, clip_gradients(mean_grads, settings.clip_norm),
-                            state)
+    params, results = _dense_epoch(runtime, dense, params, config, settings,
+                                   init_optimizer(params, settings.adamw()),
+                                   "ttt:", make_trajectory=True)
+    trajectories: list[Trajectory] = [traj for batch_results in results
+                                      for _, _, traj in batch_results]
     for offset, query in enumerate(sparse):
         trajectories.append(infer(runtime, query, params, config,
                                   query_index=t_dense + offset))

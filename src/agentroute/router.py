@@ -74,18 +74,17 @@ def init_params(config: RouterConfig) -> RouterParams:
     d, n = config.embed_dim, config.pool_size
     rng = np.random.default_rng(derive_seed(config.seed, "router-init"))
     bound = 1.0 / np.sqrt(d)
-    shapes = {"w_r": (d, d), "w_u": (d, d), "w_n": (d, d),
-              "u_r": (d, d), "u_u": (d, d), "u_n": (d, d),
-              "b_r": (d,), "b_u": (d,), "b_in": (d,), "b_hn": (d,),
-              "w_out": (n, d), "b_out": (n,)}
-    tensors = {name: rng.uniform(-bound, bound, size=shapes[name])
-               for name in PARAM_FIELDS}
+    tensors = {name: rng.uniform(-bound, bound, size=shape)
+               for name, shape in _param_shapes(d, n).items()}
     return RouterParams(**tensors)
 
 
-def zeros_like_params(params: RouterParams) -> RouterParams:
-    return RouterParams(**{name: np.zeros_like(arr)
-                           for name, arr in iter_arrays(params)})
+def _param_shapes(d: int, n: int) -> dict:
+    """Tensor shapes in PARAM_FIELDS order."""
+    return {"w_r": (d, d), "w_u": (d, d), "w_n": (d, d),
+            "u_r": (d, d), "u_u": (d, d), "u_n": (d, d),
+            "b_r": (d,), "b_u": (d,), "b_in": (d,), "b_hn": (d,),
+            "w_out": (n, d), "b_out": (n,)}
 
 
 def params_to_flat(params: RouterParams) -> np.ndarray:
@@ -183,14 +182,6 @@ def aggregate_context(kept_logits: np.ndarray, response_embeddings: np.ndarray):
 
 
 @dataclass
-class RoutingDecision:
-    logits_z: np.ndarray
-    k: int
-    selected_ids: tuple[int, ...]
-    alpha: np.ndarray
-
-
-@dataclass
 class StepCache:
     """Everything the backward pass needs from one forward step."""
 
@@ -207,9 +198,6 @@ class StepCache:
     selected_ids: tuple[int, ...]
     alpha: np.ndarray
     kept_embeddings: np.ndarray | None = None
-
-    def decision(self) -> RoutingDecision:
-        return RoutingDecision(self.z, self.k, self.selected_ids, self.alpha)
 
 
 def route_step(x: np.ndarray, h_prev: np.ndarray, params: RouterParams,
@@ -264,9 +252,6 @@ class ForwardPass:
     params: RouterParams
     config: RouterConfig
 
-    def decisions(self) -> list[RoutingDecision]:
-        return [s.decision() for s in self.steps]
-
 
 def forward_trajectory(query_embedding: np.ndarray, step_response_embeddings,
                        params: RouterParams, config: RouterConfig) -> ForwardPass:
@@ -300,54 +285,73 @@ def forward_trajectory(query_embedding: np.ndarray, step_response_embeddings,
     return ForwardPass(steps=steps, params=params, config=config)
 
 
-def backward_trajectory(forward: ForwardPass, per_step_dz) -> RouterParams:
-    """Backpropagation through time.
+@dataclass
+class BackwardRows:
+    """One trajectory's BPTT result, one row per step in step order: the
+    gradients with respect to the logits (dz) and the gate pre-activations
+    (da_c for the candidate, d_rec for the recurrent candidate term, da_u
+    and da_r for the update and reset gates), and the vectors they multiply
+    into weight gradients (x, h_prev, h)."""
+
+    x: np.ndarray
+    h_prev: np.ndarray
+    h: np.ndarray
+    dz: np.ndarray
+    da_c: np.ndarray
+    d_rec: np.ndarray
+    da_u: np.ndarray
+    da_r: np.ndarray
+
+
+_GRAD_ROWS = ("dz", "da_c", "d_rec", "da_u", "da_r")
+
+
+def backward_trajectory(forward: ForwardPass, per_step_dz) -> BackwardRows:
+    """Backpropagation through time, up to the parameter gradients.
 
     `per_step_dz[i]` is the loss gradient with respect to the raw step
-    logits. Three paths are accumulated: the head and GRU parameters at
-    each step, the hidden-state recurrence, and the aggregation weights of
-    the previous step (whose softmax feeds the current context vector).
+    logits. The gradient flows along three paths: into the head and GRU
+    parameters at each step, through the hidden-state recurrence, and
+    through the aggregation weights of the previous step (whose softmax
+    feeds the current context vector). The first path is returned as
+    per-step rows; `reduce_gradients` turns the rows of one trajectory, or
+    of a whole batch, into parameter gradients.
     """
     params = forward.params
     steps = forward.steps
     if len(per_step_dz) != len(steps):
         raise ValueError("one logit gradient per cached step required")
     n, d = params.pool_size, params.embed_dim
-    grads = zeros_like_params(params)
+    t = len(steps)
+    rows = BackwardRows(
+        x=np.array([st.x for st in steps]).reshape(t, d),
+        h_prev=np.array([st.h_prev for st in steps]).reshape(t, d),
+        h=np.array([st.h for st in steps]).reshape(t, d),
+        dz=np.empty((t, n)), da_c=np.empty((t, d)), d_rec=np.empty((t, d)),
+        da_u=np.empty((t, d)), da_r=np.empty((t, d)))
     dh_carry = np.zeros(d)
-    dz_from_alpha = [np.zeros(n) for _ in steps]
-    for i in reversed(range(len(steps))):
+    dz_from_alpha = np.zeros(n)
+    for i in reversed(range(t)):
         st = steps[i]
-        dz = np.asarray(per_step_dz[i], dtype=np.float64) + dz_from_alpha[i]
+        dz = np.asarray(per_step_dz[i], dtype=np.float64) + dz_from_alpha
         if dz.shape != (n,):
             raise ValueError(f"step {i + 1}: logit gradient must have length {n}")
         # Head: z = w_out h + b_out, and the cell output is h itself.
-        grads.w_out += np.outer(dz, st.h)
-        grads.b_out += dz
         dh = params.w_out.T @ dz + dh_carry
         # GRU cell backward.
         dc = dh * (1.0 - st.u)
         du = dh * (st.h_prev - st.c)
         dh_prev = dh * st.u
         da_c = dc * (1.0 - st.c ** 2)
-        grads.w_n += np.outer(da_c, st.x)
-        grads.b_in += da_c
         dr = da_c * st.rec
         d_rec = da_c * st.r
-        grads.u_n += np.outer(d_rec, st.h_prev)
-        grads.b_hn += d_rec
         dh_prev = dh_prev + params.u_n.T @ d_rec
         da_u = du * st.u * (1.0 - st.u)
-        grads.w_u += np.outer(da_u, st.x)
-        grads.u_u += np.outer(da_u, st.h_prev)
-        grads.b_u += da_u
         dh_prev = dh_prev + params.u_u.T @ da_u
         da_r = dr * st.r * (1.0 - st.r)
-        grads.w_r += np.outer(da_r, st.x)
-        grads.u_r += np.outer(da_r, st.h_prev)
-        grads.b_r += da_r
         dh_prev = dh_prev + params.u_r.T @ da_r
-        dx = params.w_n.T @ da_c + params.w_u.T @ da_u + params.w_r.T @ da_r
+        rows.dz[i], rows.da_c[i], rows.d_rec[i] = dz, da_c, d_rec
+        rows.da_u[i], rows.da_r[i] = da_u, da_r
         dh_carry = dh_prev
         if i > 0:
             # x_i came from the previous step's weighted aggregation; push
@@ -356,9 +360,34 @@ def backward_trajectory(forward: ForwardPass, per_step_dz) -> RouterParams:
             if prev.kept_embeddings is None:
                 raise ValueError(
                     f"step {i}: cached response embeddings missing for backward")
+            dx = params.w_n.T @ da_c + params.w_u.T @ da_u + params.w_r.T @ da_r
             dalpha = prev.kept_embeddings @ dx
-            dkept = softmax_vjp(prev.alpha, dalpha)
-            dz_from_alpha[i - 1][list(prev.selected_ids)] += dkept
+            dz_from_alpha = np.zeros(n)
+            dz_from_alpha[list(prev.selected_ids)] += softmax_vjp(prev.alpha, dalpha)
+    for name in _GRAD_ROWS:
+        if not np.all(np.isfinite(getattr(rows, name))):
+            raise ValueError(f"non-finite gradient in {name}")
+    return rows
+
+
+def reduce_gradients(batch, scale: float = 1.0) -> RouterParams:
+    """Parameter gradients of a batch of trajectories, times `scale`.
+
+    `batch` holds the `BackwardRows` of each trajectory. Their rows are
+    stacked, so each weight gradient is one (rows, d)^T @ (rows, d) product
+    and each bias gradient one column sum; `scale` (1/B for a batch mean)
+    multiplies the gradient rows before the products.
+    """
+    def stacked(name):
+        return np.concatenate([getattr(rows, name) for rows in batch])
+
+    x, h_prev, h = stacked("x"), stacked("h_prev"), stacked("h")
+    dz, da_c, d_rec, da_u, da_r = (stacked(name) * scale for name in _GRAD_ROWS)
+    grads = RouterParams(
+        w_r=da_r.T @ x, w_u=da_u.T @ x, w_n=da_c.T @ x,
+        u_r=da_r.T @ h_prev, u_u=da_u.T @ h_prev, u_n=d_rec.T @ h_prev,
+        b_r=da_r.sum(axis=0), b_u=da_u.sum(axis=0), b_in=da_c.sum(axis=0),
+        b_hn=d_rec.sum(axis=0), w_out=dz.T @ h, b_out=dz.sum(axis=0))
     for name, arr in iter_arrays(grads):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite gradient in {name}")
@@ -377,8 +406,10 @@ def save_params(path, params: RouterParams, config: RouterConfig) -> None:
         fh.write(struct.pack("<III Q", _SNAPSHOT_VERSION, params.embed_dim,
                              params.pool_size, config.seed))
         for name in PARAM_FIELDS:
+            # A no-op for the usual C-contiguous native float64 tensor, which
+            # is then written straight from its buffer.
             arr = np.ascontiguousarray(getattr(params, name), dtype="<f8")
-            fh.write(arr.tobytes())
+            fh.write(arr.data)
 
 
 def load_params(path, config: RouterConfig | None = None):
@@ -396,13 +427,8 @@ def load_params(path, config: RouterConfig | None = None):
             raise ValueError(
                 f"{path}: snapshot is ({d}, {n}) but config wants"
                 f" ({config.embed_dim}, {config.pool_size})")
-        shapes = {"w_r": (d, d), "w_u": (d, d), "w_n": (d, d),
-                  "u_r": (d, d), "u_u": (d, d), "u_n": (d, d),
-                  "b_r": (d,), "b_u": (d,), "b_in": (d,), "b_hn": (d,),
-                  "w_out": (n, d), "b_out": (n,)}
         tensors = {}
-        for name in PARAM_FIELDS:
-            shape = shapes[name]
+        for name, shape in _param_shapes(d, n).items():
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:

@@ -280,3 +280,69 @@ def test_adamw_rejects_non_finite_grads():
     state = init_optimizer(params, AdamWHyper())
     with pytest.raises(ValueError, match="w"):
         adamw_step(params, Scalar(w=np.array([np.inf])), state)
+
+
+@dataclass
+class Tensors:
+    w: np.ndarray
+    b: np.ndarray
+    s: np.ndarray
+
+
+def _reference_adamw(params, grads, moments, t, hyper):
+    """Reference AdamW: a fresh temporary for every intermediate."""
+    first, second = moments
+    bias1 = 1.0 - hyper.beta1 ** t
+    bias2 = 1.0 - hyper.beta2 ** t
+    updated = {}
+    for name in params.__dataclass_fields__:
+        p, g = getattr(params, name), getattr(grads, name)
+        m, v = getattr(first, name), getattr(second, name)
+        m *= hyper.beta1
+        m += (1.0 - hyper.beta1) * g
+        v *= hyper.beta2
+        v += (1.0 - hyper.beta2) * np.square(g)
+        m_hat = m / bias1
+        v_hat = v / bias2
+        updated[name] = p - hyper.lr * (m_hat / (np.sqrt(v_hat) + hyper.epsilon)
+                                        + hyper.weight_decay * p)
+    return type(params)(**updated)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adamw_is_bit_identical_to_the_reference(weight_decay):
+    rng = np.random.default_rng(17)
+
+    def draw(shape):
+        # signed magnitudes spread log-uniformly over 1e-8 .. 1e2
+        sign = rng.choice([-1.0, 1.0], size=shape)
+        return sign * 10.0 ** rng.uniform(-8.0, 2.0, size=shape)
+
+    shapes = {"w": (7, 5), "b": (5,), "s": (1,)}
+    params = Tensors(**{name: rng.normal(size=shape) for name, shape in shapes.items()})
+    hyper = AdamWHyper(lr=1e-2, weight_decay=weight_decay)
+    state = init_optimizer(params, hyper)
+    ref_params = params
+    ref_moments = tuple(Tensors(**{name: np.zeros(shape) for name, shape in shapes.items()})
+                        for _ in range(2))
+    for t in range(1, 7):
+        grads = Tensors(**{name: draw(shape) for name, shape in shapes.items()})
+        params = adamw_step(params, grads, state)
+        ref_params = _reference_adamw(ref_params, grads, ref_moments, t, hyper)
+        for name in shapes:
+            assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes()
+            assert getattr(state.first_moment, name).tobytes() == \
+                getattr(ref_moments[0], name).tobytes()
+            assert getattr(state.second_moment, name).tobytes() == \
+                getattr(ref_moments[1], name).tobytes()
+    assert state.step_count == 6
+
+
+def test_adamw_creates_moments_on_first_step():
+    params = Scalar(w=np.array([0.5, -0.5]))
+    state = init_optimizer(params, AdamWHyper())
+    assert state.first_moment is None and state.second_moment is None
+    adamw_step(params, Scalar(w=np.array([1.0, 2.0])), state)
+    assert state.first_moment.w.shape == (2,)
+    # the update leaves the caller's parameters alone
+    np.testing.assert_array_equal(params.w, [0.5, -0.5])

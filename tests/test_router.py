@@ -1,15 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
 from agentroute.core import RouterConfig, derive_seed
 from agentroute.gradcheck import gradient_check
-from agentroute.numerics import softmax, softmax_vjp
+from agentroute.numerics import map_arrays, softmax, softmax_vjp
 from agentroute.router import (RouterParams, adaptive_k, aggregate_context,
                                backward_trajectory, flat_to_params,
                                forward_trajectory, gru_step, head, init_params,
                                init_state, keep_top_k, load_params,
-                               params_to_flat, route_step, save_params,
-                               zeros_like_params)
+                               params_to_flat, reduce_gradients, route_step,
+                               save_params)
 
 
 def _zero_params(d, n):
@@ -289,7 +291,7 @@ def test_backward_zero_upstream_gives_zero_gradients():
     rng = np.random.default_rng(9)
     forward = forward_trajectory(rng.normal(size=8), rng.normal(size=(3, 5, 8)),
                                  params, config)
-    grads = backward_trajectory(forward, [np.zeros(5)] * 3)
+    grads = reduce_gradients([backward_trajectory(forward, [np.zeros(5)] * 3)])
     for name in grads.__dataclass_fields__:
         np.testing.assert_array_equal(getattr(grads, name), 0.0)
 
@@ -303,7 +305,7 @@ def test_backward_single_step_linear_head_rows():
     target_row = 2
     dz = np.zeros(5)
     dz[target_row] = 1.0
-    grads = backward_trajectory(forward, [dz])
+    grads = reduce_gradients([backward_trajectory(forward, [dz])])
     np.testing.assert_allclose(grads.w_out[target_row], forward.steps[0].h)
     zero_rows = [r for r in range(5) if r != target_row]
     np.testing.assert_array_equal(grads.w_out[zero_rows], 0.0)
@@ -319,6 +321,107 @@ def test_backward_requires_cached_embeddings():
     forward.steps[0].kept_embeddings = None
     with pytest.raises(ValueError, match="cached response embeddings missing"):
         backward_trajectory(forward, [np.zeros(5), np.ones(5)])
+
+
+def _outer_product_backward(forward, per_step_dz):
+    """Reference BPTT: one rank-1 update of every weight gradient per step,
+    accumulated in place."""
+    params, steps = forward.params, forward.steps
+    n, d = params.pool_size, params.embed_dim
+    grads = map_arrays(np.zeros_like, params)
+    dh_carry = np.zeros(d)
+    dz_from_alpha = [np.zeros(n) for _ in steps]
+    for i in reversed(range(len(steps))):
+        st = steps[i]
+        dz = np.asarray(per_step_dz[i], dtype=np.float64) + dz_from_alpha[i]
+        grads.w_out += np.outer(dz, st.h)
+        grads.b_out += dz
+        dh = params.w_out.T @ dz + dh_carry
+        dc = dh * (1.0 - st.u)
+        du = dh * (st.h_prev - st.c)
+        dh_prev = dh * st.u
+        da_c = dc * (1.0 - st.c ** 2)
+        grads.w_n += np.outer(da_c, st.x)
+        grads.b_in += da_c
+        dr = da_c * st.rec
+        d_rec = da_c * st.r
+        grads.u_n += np.outer(d_rec, st.h_prev)
+        grads.b_hn += d_rec
+        dh_prev = dh_prev + params.u_n.T @ d_rec
+        da_u = du * st.u * (1.0 - st.u)
+        grads.w_u += np.outer(da_u, st.x)
+        grads.u_u += np.outer(da_u, st.h_prev)
+        grads.b_u += da_u
+        dh_prev = dh_prev + params.u_u.T @ da_u
+        da_r = dr * st.r * (1.0 - st.r)
+        grads.w_r += np.outer(da_r, st.x)
+        grads.u_r += np.outer(da_r, st.h_prev)
+        grads.b_r += da_r
+        dh_prev = dh_prev + params.u_r.T @ da_r
+        dx = params.w_n.T @ da_c + params.w_u.T @ da_u + params.w_r.T @ da_r
+        dh_carry = dh_prev
+        if i > 0:
+            prev = steps[i - 1]
+            dalpha = prev.kept_embeddings @ dx
+            dz_from_alpha[i - 1][list(prev.selected_ids)] += \
+                softmax_vjp(prev.alpha, dalpha)
+    return grads
+
+
+def _batch_of_trajectories(size, seed, n=6, d=10, k=4):
+    """Forward passes of `size` random queries through shared parameters,
+    with 1 to 3 steps each, and their per-step logit gradients."""
+    # Small weights keep the logits close, so k varies between steps.
+    params = map_arrays(lambda arr: 0.2 * arr, _random_params(d, n, seed))
+    rng = np.random.default_rng(seed + 1)
+    forwards, upstream = [], []
+    for index in range(size):
+        steps = 1 + index % 3
+        config = _config(n=n, d=d, k=k, steps=steps)
+        forwards.append(forward_trajectory(rng.normal(size=d),
+                                           rng.normal(size=(steps, n, d)),
+                                           params, config))
+        upstream.append([rng.normal(size=n) for _ in range(steps)])
+    return forwards, upstream
+
+
+def _assert_grads_close(actual, expected):
+    for name in expected.__dataclass_fields__:
+        np.testing.assert_allclose(getattr(actual, name), getattr(expected, name),
+                                   rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def test_single_trajectory_gradient_matches_outer_product_reference():
+    forwards, upstream = _batch_of_trajectories(6, seed=30)
+    for forward, dz in zip(forwards, upstream):
+        grads = reduce_gradients([backward_trajectory(forward, dz)])
+        _assert_grads_close(grads, _outer_product_backward(forward, dz))
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+def test_batched_gradient_matches_mean_of_per_query_gradients(batch_size):
+    forwards, upstream = _batch_of_trajectories(batch_size, seed=40 + batch_size)
+    if batch_size > 1:
+        # the batch mixes steps routed to different numbers of agents
+        assert len({step.k for forward in forwards for step in forward.steps}) > 1
+    rows = [backward_trajectory(f, dz) for f, dz in zip(forwards, upstream)]
+    batched = reduce_gradients(rows, scale=1.0 / batch_size)
+    expected = map_arrays(np.zeros_like, forwards[0].params)
+    for forward, dz in zip(forwards, upstream):
+        reference = _outer_product_backward(forward, dz)
+        for name in expected.__dataclass_fields__:
+            getattr(expected, name)[...] += getattr(reference, name)
+    expected = map_arrays(lambda arr: arr / batch_size, expected)
+    _assert_grads_close(batched, expected)
+
+
+def test_batched_zero_upstream_gives_exact_zeros():
+    forwards, upstream = _batch_of_trajectories(5, seed=50)
+    rows = [backward_trajectory(f, [np.zeros_like(dz) for dz in per_step])
+            for f, per_step in zip(forwards, upstream)]
+    grads = reduce_gradients(rows, scale=1.0 / len(rows))
+    for name in grads.__dataclass_fields__:
+        np.testing.assert_array_equal(getattr(grads, name), 0.0)
 
 
 def test_bptt_matches_finite_differences():
@@ -354,6 +457,31 @@ def test_snapshot_round_trip_is_bitwise(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _tobytes_snapshot(path, params, config):
+    """Reference writer: copies each tensor to bytes before writing it."""
+    with open(path, "wb") as fh:
+        fh.write(b"ARPS")
+        fh.write(struct.pack("<III Q", 1, params.embed_dim, params.pool_size,
+                             config.seed))
+        for name in params.__dataclass_fields__:
+            arr = np.ascontiguousarray(getattr(params, name), dtype="<f8")
+            fh.write(arr.tobytes())
+
+
+def test_snapshot_bytes_match_the_copying_writer(tmp_path):
+    config = _config(n=6, d=12, seed=98)
+    params = _random_params(12, 6, seed=21)
+    # Also tensors that need converting first: transposed, strided, and
+    # big-endian.
+    odd = RouterParams(**{**params.__dict__, "w_r": params.w_r.T,
+                          "b_in": np.repeat(params.b_in, 2)[::2],
+                          "w_out": params.w_out.astype(">f8")})
+    for which in (params, odd):
+        save_params(tmp_path / "new.bin", which, config)
+        _tobytes_snapshot(tmp_path / "old.bin", which, config)
+        assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+
+
 def test_snapshot_rejects_mismatched_config(tmp_path):
     config = _config(n=6, d=12)
     save_params(tmp_path / "p.bin", init_params(config), config)
@@ -375,5 +503,5 @@ def test_flat_round_trip():
     rebuilt = flat_to_params(flat, params)
     for name in params.__dataclass_fields__:
         np.testing.assert_array_equal(getattr(rebuilt, name), getattr(params, name))
-    grads = zeros_like_params(params)
+    grads = map_arrays(np.zeros_like, params)
     assert params_to_flat(grads).sum() == 0.0
