@@ -36,8 +36,7 @@ SCHEDULES = {
 
 for name, schedule in SCHEDULES.items():
     trajectory = infer(runtime, f"[tag:alpha] {name} probe", params, config,
-                       logit_override=lambda step: schedule_logits(schedule(step)),
-                       max_route_override=N)
+                       logit_override=lambda step: schedule_logits(schedule(step)))
     print(f"{name}:")
     for record in trajectory.steps:
         print(f"  step {record.step_index}: agents {sorted(record.selected_ids)}")

@@ -12,10 +12,9 @@ from .core import AgentResponse, AgentSpec, ConfigError, Prompt, RouterConfig, \
     write_trace
 from .embed import HashEmbedder, RemoteEmbedder, RemoteEmbedError, hash_embed, \
     remote_embed
-from .router import RouterParams, adaptive_k, aggregate_context, \
-    backward_trajectory, forward_trajectory, gru_step, head, init_params, \
-    init_state, keep_top_k, load_params, reduce_gradients, route_step, \
-    save_params
+from .router import RouterParams, adaptive_k, backward_trajectory, \
+    forward_trajectory, init_params, init_state, keep_top_k, load_params, \
+    reduce_gradients, route_step, save_params
 from .learning import AdamWHyper, OptimizerState, adamw_step, clip_gradients, \
     confidence, get_loss, init_optimizer, listmle_loss, mse_loss, \
     predictive_entropy, ranking_loss, total_loss, triplet_loss

@@ -521,8 +521,7 @@ def cmd_simulate(config_path, topology, seed=None) -> int:
     n = run.router.pool_size
     traj = infer(runtime, f"[tag:default] topology probe: {topology}", params,
                  run.router,
-                 logit_override=lambda step: _schedule_logits(schedule(step), n),
-                 max_route_override=n)
+                 logit_override=lambda step: _schedule_logits(schedule(step), n))
     write_trace(run.paths["trace_out"], [traj])
     for record in traj.steps:
         print(f"step {record.step_index}: agents {sorted(record.selected_ids)}")

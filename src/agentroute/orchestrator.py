@@ -1,13 +1,23 @@
 """Top-level loops: dense entropy-supervised training, sparse inference
-with summarizer termination, and test-time adaptation.
+with summarizer termination, test-time adaptation and scripted topologies.
 
-Training runs every pool agent at every step to collect the entropy
-supervision, but the next context aggregates only the routed agents'
-responses (on-policy context). Inference executes only the routed agents
-and lets the summarizer terminate early, with the step limit as backstop.
+All of them run one step loop, `_step_loop`. Per step it routes, builds
+the prompts, executes, aggregates the routed responses into the next
+context and yields the step to its caller. Three things differ, and each
+is plain data:
+  - which agents execute: every pool agent (dense, which collects the
+    entropy supervision) or only the routed ones (sparse); either way the
+    next context aggregates only the routed agents' responses;
+  - whether a TransportError is tolerated: only on sparse steps, which
+    renormalize alpha over the surviving agents;
+  - what the caller does with each step: inference asks the summarizer
+    whether to stop, with the step limit as backstop; training scores the
+    step's routing probabilities and backpropagates through time after
+    the last step.
 Test-time adaptation runs the first queries of a stream densely, updates
 the router from their entropy signal exactly as training does, then serves
-the rest sparsely with the adapted parameters.
+the rest sparsely with the adapted parameters. Topology simulation is
+sparse inference whose logits come from a script.
 """
 
 from __future__ import annotations
@@ -26,8 +36,7 @@ from .learning import AdamWHyper, adamw_step, clip_gradients, confidence, \
     get_loss, init_optimizer, total_loss
 from .numerics import softmax, softmax_vjp
 from .router import ForwardPass, RouterParams, attach_responses, \
-    backward_trajectory, init_state, override_logits, reduce_gradients, \
-    route_step
+    backward_trajectory, init_state, reduce_gradients, route_step, select
 
 
 class OrchestrationError(RuntimeError):
@@ -101,13 +110,66 @@ def _execute_many(runtime: Runtime, agent_ids, prompts, step_index, seeds,
         return list(pool.map(run_one, tasks))
 
 
-def _exec_seed(config: RouterConfig, label: str, step_index: int, agent_id: int) -> int:
-    return derive_seed(config.seed, f"exec:{label}:s{step_index}:a{agent_id}")
+def _step_loop(runtime: Runtime, query: str, params: RouterParams,
+               config: RouterConfig, label: str, dense: bool,
+               traj: Trajectory | None, logit_override=None):
+    """The step loop of every mode (see the module doc). Each step is
+    appended to `traj` when one is given, then yielded as (step cache,
+    routed responses, entropy vector or None). Dense runs take
+    config.train_steps steps and need every agent's entropy; sparse runs
+    take up to config.max_steps steps and abort only when every routed
+    agent of a step failed."""
+    x = np.asarray(runtime.embed(query), dtype=np.float64)
+    h = init_state(config.embed_dim)
+    routed: list = []
+    n_steps = config.train_steps if dense else config.max_steps
+    for step_index in range(1, n_steps + 1):
+        step = route_step(x, h, params, config)
+        if logit_override is not None:
+            select(step, logit_override(step_index), config)
+        agent_ids = range(config.pool_size) if dense else step.selected_ids
+        prompts = [assemble_prompt(runtime.pool.spec(a), query, routed)
+                   for a in agent_ids]
+        seeds = [derive_seed(config.seed, f"exec:{label}:s{step_index}:a{a}")
+                 for a in agent_ids]
+        results = _execute_many(runtime, agent_ids, prompts, step_index, seeds,
+                                tolerate_failures=not dense)
+        executed = [resp for resp in results if resp is not None]
+        entropy_vec = None
+        if dense:
+            for resp in executed:
+                if resp.predictive_entropy is None:
+                    raise OrchestrationError(
+                        f"agent {resp.agent_id} returned no entropy; cannot supervise")
+            entropy_vec = np.asarray([resp.predictive_entropy for resp in executed],
+                                     dtype=np.float64)
+            routed = [executed[a] for a in step.selected_ids]
+        else:
+            if not executed:
+                raise OrchestrationError(f"all routed agents failed at step {step_index}")
+            if len(executed) < step.k:
+                keep = [pos for pos, resp in enumerate(results) if resp is not None]
+                alpha = step.alpha[keep]
+                step.alpha = alpha / alpha.sum()
+                step.selected_ids = tuple(step.selected_ids[pos] for pos in keep)
+                step.k = len(keep)
+            routed = executed
+        x_next = attach_responses(step, np.stack([runtime.embed(r.text)
+                                                  for r in routed]))
+        if traj is not None:
+            record = StepRecord(step_index=step_index, logits_z=step.z,
+                                count_probs=step.count_probs, k=step.k,
+                                selected_ids=step.selected_ids, alpha=step.alpha,
+                                context_X=x, entropy_E=entropy_vec)
+            traj.append_step(record, executed, config)
+        yield step, routed, entropy_vec
+        x = x_next
+        h = step.h
 
 
 def infer(runtime: Runtime, query: str, params: RouterParams,
           config: RouterConfig, *, query_index: int = 0,
-          logit_override=None, max_route_override: int | None = None) -> Trajectory:
+          logit_override=None) -> Trajectory:
     """Sparse inference: route, execute only the selected agents, aggregate,
     then ask the summarizer whether to stop. If a routed agent fails in
     transport, its weight is renormalized over the survivors; if every
@@ -115,56 +177,24 @@ def infer(runtime: Runtime, query: str, params: RouterParams,
     summarizer call whose reply becomes the answer.
 
     `logit_override` (step_index -> logits) replaces the router's logits,
-    which is how scripted topology schedules are produced.
+    which is how scripted topology schedules are produced; it lifts the
+    route cap to the whole pool.
     """
     validate_config(config)
     if runtime.pool.size != config.pool_size:
         raise ConfigError("pool size does not match config.pool_size")
-    eff_config = config if max_route_override is None else \
-        replace(config, max_route=max_route_override)
+    if logit_override is not None:
+        config = replace(config, max_route=config.pool_size)
     traj = new_trajectory(query)
-    x = np.asarray(runtime.embed(query), dtype=np.float64)
-    h = init_state(config.embed_dim)
-    prev_responses: list = []
-    label = f"q{query_index}"
-    for step_index in range(1, config.max_steps + 1):
-        step = route_step(x, h, params, eff_config)
-        if logit_override is not None:
-            step = override_logits(step, logit_override(step_index), eff_config)
-        prompts = [assemble_prompt(runtime.pool.spec(a), query, prev_responses)
-                   for a in step.selected_ids]
-        seeds = [_exec_seed(config, label, step_index, a) for a in step.selected_ids]
-        results = _execute_many(runtime, step.selected_ids, prompts, step_index,
-                                seeds, tolerate_failures=True)
-        survivors = [(a, resp) for a, resp in zip(step.selected_ids, results)
-                     if resp is not None]
-        if not survivors:
-            raise OrchestrationError(f"all routed agents failed at step {step_index}")
-        if len(survivors) < step.k:
-            keep = [pos for pos, resp in enumerate(results) if resp is not None]
-            alpha = step.alpha[keep]
-            alpha = alpha / alpha.sum()
-            selected = tuple(a for a, _ in survivors)
-        else:
-            alpha = step.alpha
-            selected = step.selected_ids
-        responses = [resp for _, resp in survivors]
-        embeddings = np.stack([runtime.embed(r.text) for r in responses])
-        x_next = alpha @ embeddings
-        record = StepRecord(step_index=step_index, logits_z=step.z,
-                            count_probs=step.count_probs, k=len(selected),
-                            selected_ids=selected, alpha=alpha, context_X=x,
-                            entropy_E=None)
-        traj.append_step(record, responses, eff_config)
-        decision = summarizer_decide(query, responses, runtime.summarizer)
+    routed: list = []
+    for _, routed, _ in _step_loop(runtime, query, params, config,
+                                   f"q{query_index}", False, traj, logit_override):
+        decision = summarizer_decide(query, routed, runtime.summarizer)
         if isinstance(decision, Final):
             traj.final_answer = decision.answer
             traj.terminated_by = SUMMARIZER
             return traj
-        prev_responses = responses
-        x = x_next
-        h = step.h
-    traj.final_answer = summarize_final(query, prev_responses, runtime.summarizer)
+    traj.final_answer = summarize_final(query, routed, runtime.summarizer)
     traj.terminated_by = STEP_LIMIT
     return traj
 
@@ -172,61 +202,31 @@ def infer(runtime: Runtime, query: str, params: RouterParams,
 def _dense_pass(runtime: Runtime, query: str, params: RouterParams,
                 config: RouterConfig, label: str, loss_fn, grad_fn,
                 make_trajectory: bool):
-    """One dense query: run config.train_steps steps executing all agents,
-    accumulate the per-step ranking losses, and backpropagate through time.
+    """One dense query: score each step's routing probabilities against
+    the confidence ordering, average the step losses, and backpropagate
+    through time.
 
     Returns (mean loss, BPTT gradient rows, per-step (selected, entropies),
     trajectory or None). Any agent failure aborts the query: the entropy
     targets would be incomplete.
     """
-    n = config.pool_size
-    x = np.asarray(runtime.embed(query), dtype=np.float64)
-    h = init_state(config.embed_dim)
     traj = new_trajectory(query) if make_trajectory else None
-    prev_routed: list = []
-    steps = []
-    dz_list = []
-    losses = []
-    infos = []
-    agent_ids = list(range(n))
-    for step_index in range(1, config.train_steps + 1):
-        step = route_step(x, h, params, config)
-        prompts = [assemble_prompt(runtime.pool.spec(a), query, prev_routed)
-                   for a in agent_ids]
-        seeds = [_exec_seed(config, label, step_index, a) for a in agent_ids]
-        responses = _execute_many(runtime, agent_ids, prompts, step_index, seeds,
-                                  tolerate_failures=False)
-        entropies = []
-        for resp in responses:
-            if resp.predictive_entropy is None:
-                raise OrchestrationError(
-                    f"agent {resp.agent_id} returned no entropy; cannot supervise")
-            entropies.append(resp.predictive_entropy)
-        entropy_vec = np.asarray(entropies, dtype=np.float64)
+    steps, dz_list, losses, infos = [], [], [], []
+    routed: list = []
+    for step, routed, entropy_vec in _step_loop(runtime, query, params, config,
+                                                label, True, traj):
         conf = confidence(entropy_vec)
         probs = softmax(step.z)
         losses.append(loss_fn(probs, conf))
         dz_list.append(softmax_vjp(probs, grad_fn(probs, conf)))
-        routed = [responses[a] for a in step.selected_ids]
-        embeddings = np.stack([runtime.embed(r.text) for r in routed])
-        x_next = attach_responses(step, embeddings)
-        if traj is not None:
-            record = StepRecord(step_index=step_index, logits_z=step.z,
-                                count_probs=step.count_probs, k=step.k,
-                                selected_ids=step.selected_ids, alpha=step.alpha,
-                                context_X=x, entropy_E=entropy_vec)
-            traj.append_step(record, responses, config)
         infos.append((step.selected_ids, entropy_vec))
         steps.append(step)
-        prev_routed = routed
-        x = x_next
-        h = step.h
     mean_loss = total_loss(losses)
     scale = 1.0 / len(steps)
     forward = ForwardPass(steps=steps, params=params, config=config)
     rows = backward_trajectory(forward, [dz * scale for dz in dz_list])
     if traj is not None:
-        traj.final_answer = summarize_final(query, prev_routed, runtime.summarizer)
+        traj.final_answer = summarize_final(query, routed, runtime.summarizer)
         traj.terminated_by = STEP_LIMIT
     return mean_loss, rows, infos, traj
 

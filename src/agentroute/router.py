@@ -117,28 +117,6 @@ def _gru_forward(x, h_prev, params):
     return r, u, rec, c, h
 
 
-def gru_step(x: np.ndarray, h: np.ndarray, params: RouterParams):
-    """One GRU cell update; returns (h_next, output), output == h_next."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    d = params.embed_dim
-    if x.shape != (d,) or h.shape != (d,):
-        raise ValueError(f"expected vectors of length {d}")
-    r, u, _, c, h_next = _gru_forward(x, h, params)
-    for name, arr in (("reset", r), ("update", u), ("candidate", c), ("hidden", h_next)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} gate produced non-finite values")
-    return h_next, h_next
-
-
-def head(o: np.ndarray, params: RouterParams) -> np.ndarray:
-    """Linear head: logits over the agent pool."""
-    o = np.asarray(o, dtype=np.float64)
-    if o.shape != (params.embed_dim,):
-        raise ValueError(f"expected a vector of length {params.embed_dim}")
-    return params.w_out @ o + params.b_out
-
-
 def adaptive_k(z: np.ndarray, temperature: float, max_route: int, pool_size: int) -> int:
     """Per-step routed-agent count: how many temperature-softmax entries
     reach the uniform level 1/pool_size, capped at max_route."""
@@ -168,22 +146,10 @@ def keep_top_k(z: np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(order[:k])
 
 
-def aggregate_context(kept_logits: np.ndarray, response_embeddings: np.ndarray):
-    """Softmax-weight the kept logits (no temperature here) and take the
-    weighted sum of the matching response embeddings."""
-    kept = np.asarray(kept_logits, dtype=np.float64)
-    emb = np.asarray(response_embeddings, dtype=np.float64)
-    if kept.ndim != 1 or kept.size < 1:
-        raise ValueError("kept_logits must be a non-empty vector")
-    if emb.ndim != 2 or emb.shape[0] != kept.size:
-        raise ValueError("one embedding row per kept logit required")
-    alpha = softmax(kept)
-    return alpha, alpha @ emb
-
-
 @dataclass
 class StepCache:
-    """Everything the backward pass needs from one forward step."""
+    """Everything the backward pass needs from one forward step. `select`
+    fills the selection fields from z onward."""
 
     x: np.ndarray
     h_prev: np.ndarray
@@ -192,45 +158,39 @@ class StepCache:
     rec: np.ndarray          # u_n h_prev + b_hn, reused by the reset-gate grad
     c: np.ndarray
     h: np.ndarray
-    z: np.ndarray
-    count_probs: np.ndarray
-    k: int
-    selected_ids: tuple[int, ...]
-    alpha: np.ndarray
+    z: np.ndarray | None = None
+    count_probs: np.ndarray | None = None
+    k: int = 0
+    selected_ids: tuple[int, ...] = ()
+    alpha: np.ndarray | None = None
     kept_embeddings: np.ndarray | None = None
 
 
 def route_step(x: np.ndarray, h_prev: np.ndarray, params: RouterParams,
                config: RouterConfig) -> StepCache:
-    """One routing step: recurrence, head, adaptive count, top-k selection,
-    and the aggregation weights over the kept logits."""
+    """One routing step: recurrence, linear head, then `select` on the
+    head's logits."""
     x = np.asarray(x, dtype=np.float64)
     h_prev = np.asarray(h_prev, dtype=np.float64)
     r, u, rec, c, h = _gru_forward(x, h_prev, params)
     for name, arr in (("reset", r), ("update", u), ("candidate", c), ("hidden", h)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} gate produced non-finite values")
-    z = head(h, params)
-    k = adaptive_k(z, config.temperature, config.max_route, config.pool_size)
-    selected = keep_top_k(z, k)
-    alpha = softmax(z[list(selected)])
-    count_probs = softmax(z / config.temperature)
-    return StepCache(x=x, h_prev=h_prev, r=r, u=u, rec=rec, c=c, h=h, z=z,
-                     count_probs=count_probs, k=k, selected_ids=selected,
-                     alpha=alpha)
+    step = StepCache(x=x, h_prev=h_prev, r=r, u=u, rec=rec, c=c, h=h)
+    return select(step, params.w_out @ h + params.b_out, config)
 
 
-def override_logits(step: StepCache, z: np.ndarray, config: RouterConfig) -> StepCache:
-    """Replace a step's logits with a scripted vector and redo the
-    selection arithmetic; used by topology simulation."""
+def select(step: StepCache, z: np.ndarray, config: RouterConfig) -> StepCache:
+    """Set a step's logits z and the selection they imply: the adaptive
+    count k, the top-k agent ids, their aggregation weights alpha (plain
+    softmax over the kept logits) and the temperature-softmax count_probs.
+    Scripted topology schedules pass their own logits through here."""
     z = np.asarray(z, dtype=np.float64)
-    k = adaptive_k(z, config.temperature, config.max_route, config.pool_size)
-    selected = keep_top_k(z, k)
     step.z = z
+    step.k = adaptive_k(z, config.temperature, config.max_route, config.pool_size)
+    step.selected_ids = keep_top_k(z, step.k)
+    step.alpha = softmax(z[list(step.selected_ids)])
     step.count_probs = softmax(z / config.temperature)
-    step.k = k
-    step.selected_ids = selected
-    step.alpha = softmax(z[list(selected)])
     return step
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,19 +153,30 @@ def test_infer_concurrent_fanout_matches_serial():
 
 
 class _FlakyBackend(MockPoolBackend):
-    def __init__(self, specs, profiles, failing):
+    """Agents in `failing` raise TransportError, or answer without an
+    entropy when `drop_entropy` is set; a given `query` limits the fault to
+    the prompts of that query."""
+
+    def __init__(self, specs, profiles, failing, query=None, drop_entropy=False):
         super().__init__(specs, profiles)
         self.failing = failing
+        self.query = query
+        self.drop_entropy = drop_entropy
 
     def execute(self, agent_id, prompt, step_index, seed):
-        if agent_id in self.failing:
-            raise TransportError(f"agent {agent_id} unreachable")
-        return super().execute(agent_id, prompt, step_index, seed)
+        resp = super().execute(agent_id, prompt, step_index, seed)
+        if agent_id not in self.failing or \
+                (self.query is not None and self.query not in prompt.system_part):
+            return resp
+        if self.drop_entropy:
+            return replace(resp, token_entropies=(), predictive_entropy=None)
+        raise TransportError(f"agent {agent_id} unreachable")
 
 
-def _flaky_runtime(failing, pool_size=4):
+def _flaky_runtime(failing, pool_size=4, **faults):
     base = _runtime(pool_size)
-    return Runtime(pool=_FlakyBackend(base.pool.specs, base.pool.profiles, failing),
+    return Runtime(pool=_FlakyBackend(base.pool.specs, base.pool.profiles, failing,
+                                      **faults),
                    summarizer=MockSummarizer(final_at_step=1),
                    embed=base.embed)
 
@@ -279,6 +292,25 @@ def test_training_requires_queries_and_matching_pool():
         train(_runtime(3), ["q"], init_params(config), config, TrainingSettings())
 
 
+def test_training_names_the_query_an_agent_failed_in():
+    queries = [f"[tag:x] query {name}" for name in ("one", "two", "three", "four")]
+    runtime = _flaky_runtime({2}, query="query four")
+    config = _config()
+    with pytest.raises(OrchestrationError,
+                       match="training query 3 failed: agent 2 unreachable"):
+        train(runtime, queries, init_params(config), config,
+              TrainingSettings(batch_size=2, epochs=1))
+
+
+def test_training_rejects_a_response_without_entropy():
+    runtime = _flaky_runtime({1}, drop_entropy=True)
+    config = _config()
+    with pytest.raises(OrchestrationError,
+                       match="training query 0 failed: agent 1 returned no entropy"):
+        train(runtime, ["[tag:x] q"], init_params(config), config,
+              TrainingSettings(batch_size=1, epochs=1))
+
+
 # --- test-time training ---
 
 def test_ttt_rejects_out_of_range_t_dense():
@@ -330,3 +362,13 @@ def test_ttt_requires_enough_queries():
     with pytest.raises(ValueError, match="at least"):
         test_time_train(runtime, ["q"] * 5, init_params(config), config,
                         TrainingSettings(), 10)
+
+
+def test_ttt_names_the_dense_query_an_agent_failed_in():
+    queries = make_queries(["x"], 12, seed=4)
+    runtime = _flaky_runtime({0}, query=queries[7])
+    config = _config()
+    with pytest.raises(OrchestrationError,
+                       match="training query 7 failed: agent 0 unreachable"):
+        test_time_train(runtime, queries, init_params(config), config,
+                        TrainingSettings(batch_size=4, epochs=1), 10)

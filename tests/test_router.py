@@ -6,12 +6,12 @@ import pytest
 from agentroute.core import RouterConfig, derive_seed
 from agentroute.gradcheck import gradient_check
 from agentroute.numerics import map_arrays, softmax, softmax_vjp
-from agentroute.router import (RouterParams, adaptive_k, aggregate_context,
+from agentroute.router import (RouterParams, adaptive_k, attach_responses,
                                backward_trajectory, flat_to_params,
-                               forward_trajectory, gru_step, head, init_params,
-                               init_state, keep_top_k, load_params,
-                               params_to_flat, reduce_gradients, route_step,
-                               save_params)
+                               forward_trajectory, init_params, init_state,
+                               keep_top_k, load_params, params_to_flat,
+                               reduce_gradients, route_step, save_params,
+                               select)
 
 
 def _zero_params(d, n):
@@ -29,64 +29,94 @@ def _random_params(d, n, seed):
                            for name in zero.__dataclass_fields__})
 
 
-# --- gru_step ---
-
-def test_gru_zero_params_zero_state_is_fixed_point():
-    params = _zero_params(4, 3)
-    h_next, out = gru_step(np.array([1.0, -2.0, 0.5, 3.0]), np.zeros(4), params)
-    np.testing.assert_array_equal(h_next, np.zeros(4))
-    np.testing.assert_array_equal(out, h_next)
-
-
-def test_gru_zero_params_halves_hidden_state():
-    params = _zero_params(4, 3)
-    v = np.array([1.0, -2.0, 0.5, 3.0])
-    h_next, _ = gru_step(np.array([9.0, 9.0, 9.0, 9.0]), v, params)
-    np.testing.assert_allclose(h_next, 0.5 * v, rtol=0, atol=1e-15)
+def _head_only_params(d, n, seed):
+    """Random head, all-zero GRU: the cell then maps h_prev to exactly
+    h_prev / 2 whatever the input, so h_prev = 2 o feeds o to the head."""
+    params = _zero_params(d, n)
+    drawn = _random_params(d, n, seed)
+    params.w_out, params.b_out = drawn.w_out, drawn.b_out
+    return params
 
 
-def test_gru_matches_direct_formula_evaluation():
+def _config(n=5, d=8, k=3, steps=3, seed=0, temperature=0.1):
+    return RouterConfig(pool_size=n, max_route=k, temperature=temperature,
+                        embed_dim=d, max_steps=max(steps, 1), train_steps=steps,
+                        seed=seed)
+
+
+def _gru_oracle(params, x, h):
     # independent oracle: evaluate the four cell formulas inline
-    d = 4
-    params = _random_params(d, 3, seed=42)
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=d)
-    h = rng.normal(size=d)
-
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
     r = sig(params.w_r @ x + params.u_r @ h + params.b_r)
     u = sig(params.w_u @ x + params.u_u @ h + params.b_u)
     cand = np.tanh(params.w_n @ x + params.b_in + r * (params.u_n @ h + params.b_hn))
-    expected = (1.0 - u) * cand + u * h
+    return (1.0 - u) * cand + u * h
 
-    h_next, out = gru_step(x, h, params)
-    np.testing.assert_allclose(h_next, expected, rtol=0, atol=1e-14)
-    np.testing.assert_array_equal(out, h_next)
+
+def _select_logits(z, max_route, temperature=0.1):
+    """A fresh step whose selection comes from the given logits."""
+    z = np.asarray(z, dtype=np.float64)
+    config = _config(n=z.size, d=2, k=max_route, temperature=temperature)
+    step = route_step(np.zeros(2), np.zeros(2), _zero_params(2, z.size), config)
+    return select(step, z, config)
+
+
+# --- route_step: the GRU cell ---
+
+def test_gru_zero_params_zero_state_is_fixed_point():
+    params = _zero_params(4, 3)
+    step = route_step(np.array([1.0, -2.0, 0.5, 3.0]), np.zeros(4), params,
+                      _config(n=3, d=4))
+    np.testing.assert_array_equal(step.h, np.zeros(4))
+    # the cell output the head reads is the new hidden state
+    np.testing.assert_array_equal(step.z, params.w_out @ step.h + params.b_out)
+
+
+def test_gru_zero_params_halves_hidden_state():
+    params = _zero_params(4, 3)
+    v = np.array([1.0, -2.0, 0.5, 3.0])
+    step = route_step(np.array([9.0, 9.0, 9.0, 9.0]), v, params, _config(n=3, d=4))
+    np.testing.assert_allclose(step.h, 0.5 * v, rtol=0, atol=1e-15)
+
+
+def test_gru_matches_direct_formula_evaluation():
+    d = 4
+    params = _random_params(d, 3, seed=42)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=d)
+    h = rng.normal(size=d)
+
+    step = route_step(x, h, params, _config(n=3, d=d))
+    np.testing.assert_allclose(step.h, _gru_oracle(params, x, h), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(step.z, params.w_out @ step.h + params.b_out)
 
 
 def test_gru_rejects_bad_shapes():
     params = _zero_params(4, 3)
     with pytest.raises(ValueError):
-        gru_step(np.zeros(5), np.zeros(4), params)
+        route_step(np.zeros(5), np.zeros(4), params, _config(n=3, d=4))
 
 
-# --- head ---
+# --- route_step: the linear head ---
 
 def test_head_zero_weight_returns_bias():
     params = _zero_params(4, 3)
     params.b_out = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_array_equal(head(np.ones(4), params), params.b_out)
+    step = route_step(np.zeros(4), np.full(4, 2.0), params, _config(n=3, d=4))
+    np.testing.assert_array_equal(step.h, np.ones(4))
+    np.testing.assert_array_equal(step.z, params.b_out)
 
 
 def test_head_zero_input_returns_bias():
-    params = _random_params(4, 3, seed=1)
-    np.testing.assert_array_equal(head(np.zeros(4), params), params.b_out)
+    params = _head_only_params(4, 3, seed=1)
+    step = route_step(np.zeros(4), np.zeros(4), params, _config(n=3, d=4))
+    np.testing.assert_array_equal(step.z, params.b_out)
 
 
 def test_head_matches_naive_double_loop():
-    params = _random_params(5, 4, seed=7)
+    params = _head_only_params(5, 4, seed=7)
     rng = np.random.default_rng(7)
     o = rng.normal(size=5)
     expected = np.zeros(4)
@@ -94,7 +124,9 @@ def test_head_matches_naive_double_loop():
         for j in range(5):
             expected[i] += params.w_out[i, j] * o[j]
         expected[i] += params.b_out[i]
-    np.testing.assert_allclose(head(o, params), expected, rtol=0, atol=1e-13)
+    step = route_step(np.zeros(5), 2.0 * o, params, _config(n=4, d=5))
+    np.testing.assert_array_equal(step.h, o)
+    np.testing.assert_allclose(step.z, expected, rtol=0, atol=1e-13)
 
 
 # --- adaptive_k ---
@@ -159,27 +191,34 @@ def test_keep_top_k_rejects_out_of_range():
         keep_top_k(np.zeros(3), 4)
 
 
-# --- aggregate_context ---
+# --- select and attach_responses: aggregation ---
 
 def test_aggregate_uniform_weights():
     e1 = np.array([1.0, 0.0, 2.0])
     e2 = np.array([3.0, 4.0, 0.0])
-    alpha, ctx = aggregate_context(np.zeros(2), np.stack([e1, e2]))
-    np.testing.assert_allclose(alpha, [0.5, 0.5])
+    step = _select_logits(np.zeros(2), max_route=2)
+    ctx = attach_responses(step, np.stack([e1, e2]))
+    np.testing.assert_allclose(step.alpha, [0.5, 0.5])
     np.testing.assert_allclose(ctx, (e1 + e2) / 2)
 
 
 def test_aggregate_singleton():
     e = np.array([0.5, -1.0])
-    alpha, ctx = aggregate_context(np.array([3.7]), e[None, :])
-    np.testing.assert_array_equal(alpha, [1.0])
+    step = _select_logits(np.array([3.7, -5.0]), max_route=2)
+    assert step.selected_ids == (0,)
+    ctx = attach_responses(step, e[None, :])
+    np.testing.assert_array_equal(step.alpha, [1.0])
     np.testing.assert_array_equal(ctx, e)
 
 
 def test_aggregate_closed_form_softmax():
+    # the counting temperature keeps two agents; their weights take none
     basis = np.eye(4)[:2]
-    alpha, ctx = aggregate_context(np.array([np.log(3.0), 0.0]), basis)
-    np.testing.assert_allclose(alpha, [0.75, 0.25], atol=1e-12)
+    step = _select_logits(np.array([np.log(3.0), 0.0, -1.0, -1.0]), max_route=2,
+                          temperature=10.0)
+    assert step.selected_ids == (0, 1)
+    ctx = attach_responses(step, basis)
+    np.testing.assert_allclose(step.alpha, [0.75, 0.25], atol=1e-12)
     np.testing.assert_allclose(ctx, [0.75, 0.25, 0.0, 0.0], atol=1e-12)
 
 
@@ -192,11 +231,13 @@ def test_shift_invariance_of_selection_ops():
         shifted = z + 7.3
         assert adaptive_k(z, 0.1, 4, 6) == adaptive_k(shifted, 0.1, 4, 6)
         assert keep_top_k(z, 3) == keep_top_k(shifted, 3)
-        emb = rng.normal(size=(3, 5))
-        kept = list(keep_top_k(z, 3))
-        a1, _ = aggregate_context(z[kept], emb)
-        a2, _ = aggregate_context(shifted[kept], emb)
-        np.testing.assert_allclose(a1, a2, atol=1e-12)
+        s1 = _select_logits(z, max_route=4)
+        s2 = _select_logits(shifted, max_route=4)
+        assert s1.selected_ids == s2.selected_ids
+        np.testing.assert_allclose(s1.alpha, s2.alpha, atol=1e-12)
+        emb = rng.normal(size=(s1.k, 5))
+        np.testing.assert_allclose(attach_responses(s1, emb),
+                                   attach_responses(s2, emb), atol=1e-12)
 
 
 def test_permutation_equivariance_of_selection():
@@ -214,11 +255,6 @@ def test_permutation_equivariance_of_selection():
 
 # --- forward/backward over trajectories ---
 
-def _config(n=5, d=8, k=3, steps=3, seed=0):
-    return RouterConfig(pool_size=n, max_route=k, temperature=0.1, embed_dim=d,
-                        max_steps=max(steps, 1), train_steps=steps, seed=seed)
-
-
 def test_forward_single_step_equals_hand_composition():
     config = _config(n=5, d=8, k=3)
     params = init_params(config)
@@ -228,17 +264,18 @@ def test_forward_single_step_equals_hand_composition():
     forward = forward_trajectory(query, responses, params, config)
     step = forward.steps[0]
 
-    h_next, out = gru_step(query, init_state(8), params)
-    z = head(out, params)
+    h_next = _gru_oracle(params, query, init_state(8))
+    z = params.w_out @ step.h + params.b_out
     k = adaptive_k(z, config.temperature, config.max_route, config.pool_size)
     selected = keep_top_k(z, k)
-    alpha, ctx = aggregate_context(z[list(selected)], responses[0][list(selected)])
+    alpha = softmax(z[list(selected)])
 
     np.testing.assert_array_equal(step.z, z)
     assert step.k == k
     assert step.selected_ids == selected
     np.testing.assert_array_equal(step.alpha, alpha)
-    np.testing.assert_array_equal(step.h, h_next)
+    np.testing.assert_allclose(step.h, h_next, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(step.kept_embeddings, responses[0][list(selected)])
 
 
 def test_forward_two_steps_with_zero_params():
