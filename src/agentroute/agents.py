@@ -17,9 +17,11 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 from .core import AgentResponse, AgentSpec, ConfigError, Prompt
+
+# requests (about 14 MB resident) is imported inside the remote paths only,
+# so runs on mock agents never load it.
 
 # Task tags ride inside the query text, e.g. "[tag:algebra] solve ...".
 TAG_PATTERN = r"\[tag:([^\]]+)\]"
@@ -205,7 +207,10 @@ class MockProfile:
     that range is reachable by bisection. A zero-jitter target is a
     constant, so its blend is solved once per (target, vocab_size) and
     memoised; jittered targets are drawn and solved afresh on every call
-    and bypass the memo.
+    and bypass the memo. That solve is cheap all the same: it reads the
+    first 16 bisection levels from a per-vocab entropy table, built on
+    first use, and resolves later levels 8 at a time on local grids, bit
+    for bit as the plain loop (see solve_mixture_eps).
     """
 
     agent_id: int
@@ -235,39 +240,135 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return out
 
 
+# The bisection's level-L midpoints are the odd multiples of 2**-L. While
+# L <= _EXACT_LEVELS, lo + k * 2**-L is the very double that 0.5 * (lo + hi)
+# gives, so table and grid points are the plain loop's midpoints.
+_TABLE_LEVELS = 16
+_GRID_LEVELS = 8
+_EXACT_LEVELS = 52
+_MAX_ITERATIONS = 80
+_TABLE_CHUNK = 2048
+_GRID_POINTS = np.arange(1, 1 << _GRID_LEVELS, dtype=np.float64)
+
+
+def _path_masks(levels: int):
+    # A bracket count c (grid points at or below the target) fixes the path:
+    # the level-l point clears the low s = levels - l + 1 bits of c and sets
+    # bit s - 1. Rows are levels, shallowest first.
+    shift = np.arange(levels, 0, -1)[:, None]
+    return ~((1 << shift) - 1), 1 << (shift - 1)
+
+
+_PATH_MASKS = {levels: _path_masks(levels) for levels in (_TABLE_LEVELS, _GRID_LEVELS)}
+
+
+def _mixture_entropy(eps, vocab_size: int):
+    # Entropy of (1 - eps) * point_mass + eps * uniform(vocab_size). Every
+    # point evaluated lies in (0, 1], so both masses are positive and x log x
+    # needs no zero mask; the operation order matches _xlogx.
+    p_top = (1.0 - eps) + eps / vocab_size
+    p_rest = eps / vocab_size
+    return -(p_top * np.log(p_top) + (vocab_size - 1) * (p_rest * np.log(p_rest)))
+
+
+@functools.lru_cache(maxsize=8)
+def _entropy_table(vocab_size: int) -> np.ndarray:
+    """Mixture entropy at the 2**_TABLE_LEVELS - 1 dyadic points
+    j * 2**-_TABLE_LEVELS, built on first use in chunks so the build adds
+    little peak memory beyond the table's own 512 KiB."""
+    size = (1 << _TABLE_LEVELS) - 1
+    table = np.empty(size)
+    for start in range(0, size, _TABLE_CHUNK):
+        stop = min(start + _TABLE_CHUNK, size)
+        points = np.arange(start + 1, stop + 1, dtype=np.float64)
+        table[start:stop] = _mixture_entropy(points * math.ldexp(1.0, -_TABLE_LEVELS),
+                                             vocab_size)
+    table.flags.writeable = False
+    return table
+
+
+def _monotone_along_path(above, past_bracket) -> bool:
+    """True when the bracket's path makes the bisection's own comparisons:
+    entropy above the target exactly at the points past the bracket. This
+    holds wherever the grid is monotone along the path."""
+    return bool((above == past_bracket).all())
+
+
 def solve_mixture_eps(targets, vocab_size: int, tol: float = 1e-9) -> np.ndarray:
     """Invert the mixture entropy curve by bisection; exact endpoints snap
     to 0 and 1.
 
-    The mixture is (1 - eps) * point_mass + eps * uniform(vocab_size). Each
-    iteration evaluates its entropy once, at the new midpoint, which serves
-    both the convergence check and the next iteration's comparison.
+    The mixture is (1 - eps) * point_mass + eps * uniform(vocab_size). The
+    result is bit for bit that of the plain loop: bisect [0, 1], evaluate
+    the entropy h at each midpoint, stop at the first midpoint after the
+    first where max|h - t| <= tol over all targets, or after 80 halvings.
+
+    The loop's midpoints are dyadic, so many levels resolve per numpy call.
+    A per-vocab table of the entropy at the first 16 levels' points gives
+    each target's level-16 bracket by searchsorted; gathering the table at
+    the path's points checks the stop rule at every one of those levels.
+    Each later block of 8 levels does the same on a local grid of 255
+    points inside the bracket. The plain loop resolves a block whose path
+    disagrees with its grid (the grid is not monotone along it), and all
+    levels from 48 on, where one more block would pass level 52 and
+    lo + k * 2**-L could stop being exactly 0.5 * (lo + hi).
     """
     t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
     limit = math.log(vocab_size)
     if np.any((t < 0.0) | (t > limit + 1e-12)):
         raise ValueError("target entropy outside [0, ln vocab_size]")
     lo = np.zeros_like(t)
-    hi = np.ones_like(t)
+    level = 0  # bisection levels resolved; [lo, lo + 2**-level] brackets
+    while level + _GRID_LEVELS <= _EXACT_LEVELS:
+        # Point k of this block is lo + k * spacing, k = 1 .. 2**width - 1.
+        width = _TABLE_LEVELS if level == 0 else _GRID_LEVELS
+        spacing = math.ldexp(1.0, -(level + width))
+        if level == 0:
+            values = _entropy_table(vocab_size)
+            count = np.searchsorted(values, t, side="right")
+            offset = -1
+        else:
+            grid = _mixture_entropy(lo[:, None] + _GRID_POINTS * spacing, vocab_size)
+            count = np.count_nonzero(grid <= t[:, None], axis=1)
+            values = grid.ravel()
+            offset = np.arange(t.size) * _GRID_POINTS.size - 1
+        keep, half = _PATH_MASKS[width]
+        path = (count & keep) | half
+        h = values[path + offset]
+        if _monotone_along_path(h > t, path > count):
+            stop = np.abs(h - t).max(axis=1) <= tol
+            stop[0] &= level > 0  # the first midpoint is never checked
+            if stop.any():
+                return _snap_endpoints(lo + path[stop.argmax()] * spacing, t, limit)
+            lo = lo + count * spacing
+        else:
+            lo, eps = _bisect(t, lo, level, level + width, vocab_size, tol)
+            if eps is not None:
+                return _snap_endpoints(eps, t, limit)
+        level += width
+    _, eps = _bisect(t, lo, level, _MAX_ITERATIONS + 1, vocab_size, tol)
+    return _snap_endpoints(eps, t, limit)
 
-    def entropy(eps):
-        # Every midpoint lies in (0, 1], so both masses are positive and
-        # x log x needs no zero mask; the operation order matches _xlogx.
-        p_top = (1.0 - eps) + eps / vocab_size
-        p_rest = eps / vocab_size
-        return -(p_top * np.log(p_top) + (vocab_size - 1) * (p_rest * np.log(p_rest)))
 
-    mid = 0.5 * (lo + hi)
-    h = entropy(mid)
-    for _ in range(80):
+def _bisect(t, lo, level, last, vocab_size: int, tol: float):
+    """The plain loop on the bracket [lo, lo + 2**-level], over the
+    midpoints of levels level + 1 .. last. Returns the bracket's new lo and
+    the midpoint where the stop rule or the halving cap ended the solve, or
+    None if neither did."""
+    hi = lo + math.ldexp(1.0, -level)
+    for halvings in range(level, last):
+        mid = 0.5 * (lo + hi)
+        h = _mixture_entropy(mid, vocab_size)
+        if halvings == _MAX_ITERATIONS or (
+                halvings > 0 and np.max(np.abs(h - t)) <= tol):
+            return lo, mid
         above = h > t
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-        mid = 0.5 * (lo + hi)
-        h = entropy(mid)
-        if np.max(np.abs(h - t)) <= tol:
-            break
-    eps = mid
+    return lo, None
+
+
+def _snap_endpoints(eps, t, limit):
     eps[t <= 0.0] = 0.0
     eps[t >= limit - 1e-15] = 1.0
     return eps
@@ -352,6 +453,8 @@ def chat_execute(agent: AgentSpec, prompt: Prompt, endpoint: str, *,
     headers = {}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
+    import requests
+
     client = session if session is not None else requests
     try:
         resp = client.post(endpoint, json=payload, headers=headers, timeout=timeout)
@@ -444,6 +547,8 @@ class ChatPoolBackend:
         self.timeout = timeout
         self.top_logprobs = top_logprobs
         self.temperature = temperature
+        import requests
+
         self._session = requests.Session()
 
     @property
@@ -527,6 +632,8 @@ class ChatSummarizer:
         self.api_key = api_key
         self.timeout = timeout
         self.temperature = temperature
+        import requests
+
         self._session = requests.Session()
 
     def _call(self, system: str, query: str, responses) -> str:
@@ -542,6 +649,8 @@ class ChatSummarizer:
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        import requests
+
         try:
             resp = self._session.post(self.endpoint, json=payload, headers=headers,
                                       timeout=self.timeout)

@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .agents import ChatPoolBackend, ChatSummarizer, MockPoolBackend, \
-    MockSummarizer, MockProfile, TOOLS
+    MockSummarizer, MockProfile, TOOLS, TransportError
 from .core import AgentSpec, ConfigError, RouterConfig, read_trace, \
     validate_config, write_trace
-from .embed import HashEmbedder, RemoteEmbedder
+from .embed import HashEmbedder, RemoteEmbedError, RemoteEmbedder
 from .gradcheck import gradient_check
 from .orchestrator import OrchestrationError, Runtime, TrainingSettings, \
     infer, test_time_train, train
@@ -584,7 +584,8 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.config, args.topology, seed=args.seed)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ConfigError, OrchestrationError, ValueError, OSError) as exc:
+    except (ConfigError, OrchestrationError, TransportError, RemoteEmbedError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import requests
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 _MASK64 = (1 << 64) - 1
@@ -71,6 +70,8 @@ def remote_embed(text: str, endpoint: str, dim: int, *, api_key: str | None = No
     headers = {}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
+    import requests  # imported here so hash-embedding runs never load it
+
     client = session if session is not None else requests
     try:
         resp = client.post(endpoint, json={"input": text}, headers=headers,
@@ -116,6 +117,8 @@ class RemoteEmbedder:
         self.api_key = api_key
         self.max_chars = max_chars
         self.timeout = timeout
+        import requests
+
         self._session = requests.Session()
 
     def __call__(self, text: str) -> np.ndarray:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +228,153 @@ def test_solve_mixture_eps_matches_reference_bisection_bitwise(vocab):
     for endpoint in (0.0, limit):
         got = solve_mixture_eps(endpoint, vocab)
         assert got.tobytes() == _reference_solve_mixture_eps(endpoint, vocab).tobytes()
+
+
+VOCABS = [2, 3, 16, 50, 1000]
+
+
+def _assert_matches_reference(targets, vocab, tol=1e-9):
+    got = solve_mixture_eps(targets, vocab, tol)
+    want = _reference_solve_mixture_eps(targets, vocab, tol)
+    assert got.tobytes() == want.tobytes(), (vocab, tol, np.asarray(targets).tolist())
+    return got
+
+
+def _record_path_checks(monkeypatch):
+    checks = []
+    check = agents._monotone_along_path
+
+    def recorded(*args):
+        checks.append(check(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(agents, "_monotone_along_path", recorded)
+    return checks
+
+
+@pytest.mark.parametrize("vocab", VOCABS)
+def test_solve_mixture_eps_matches_reference_on_jittered_targets(vocab, monkeypatch):
+    # The shape of mock_execute's input: up to 12 targets jittered around a
+    # centre and clipped to [0, ln vocab]. Only a target clipped to ln vocab,
+    # where the entropy is flat to rounding, sends a block to the plain loop.
+    checks = _record_path_checks(monkeypatch)
+    rng = np.random.default_rng(1000 + vocab)
+    limit = math.log(vocab)
+    for _ in range(1000):
+        centre = rng.uniform(0.0, limit)
+        jitter = rng.choice([0.01, 0.05, 0.3])
+        count = int(rng.integers(1, 13))
+        targets = np.clip(centre + jitter * rng.standard_normal(count), 0.0, limit)
+        checks.clear()
+        _assert_matches_reference(targets, vocab)
+        assert checks and (all(checks) or targets.max() == limit)
+
+
+@pytest.mark.parametrize("vocab", VOCABS)
+def test_solve_mixture_eps_stops_on_table_entries(vocab, monkeypatch):
+    # A target equal to the entropy at a tabulated point meets the stop rule
+    # there, so the solve ends inside the table's levels at that point,
+    # without falling back to the plain loop.
+    checks = _record_path_checks(monkeypatch)
+    levels = agents._TABLE_LEVELS
+    table = agents._entropy_table(vocab)
+    rng = np.random.default_rng(2000 + vocab)
+    tested = 0
+    for level in range(1, levels + 1):
+        odd = 2 * rng.integers(0, 1 << (level - 1), size=3) + 1
+        index = odd << (levels - level)
+        targets = table[index - 1]
+        if np.any(targets >= math.log(vocab) - 1e-15):
+            continue  # those would snap to 1
+        eps = _assert_matches_reference(targets, vocab)
+        single = _assert_matches_reference(targets[:1], vocab)
+        if level == 1:
+            assert eps[0] != 0.5  # the first midpoint is never checked
+            continue
+        assert eps.tolist() == (index * 2.0 ** -levels).tolist()
+        assert single[0] == index[0] * 2.0 ** -levels
+        tested += 1
+    assert tested >= levels - 3
+    assert checks and all(checks)
+
+
+@pytest.mark.parametrize("vocab", VOCABS)
+def test_solve_mixture_eps_matches_reference_at_the_endpoints(vocab):
+    limit = math.log(vocab)
+    near_top = [limit, limit - 1e-15, limit - 5e-16, np.nextafter(limit, 0.0),
+                limit - 2e-15, limit + 1e-13]
+    for target in [0.0, 5e-324, 1e-15] + near_top:
+        _assert_matches_reference(np.array([target]), vocab)
+    rng = np.random.default_rng(3000 + vocab)
+    for _ in range(20):
+        targets = rng.uniform(0.0, limit, size=6)
+        targets[rng.integers(0, 6, size=2)] = rng.choice(near_top + [0.0], size=2)
+        _assert_matches_reference(targets, vocab)
+
+
+@pytest.mark.parametrize("vocab", VOCABS)
+@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-12])
+def test_solve_mixture_eps_matches_reference_at_deep_levels(vocab, tol):
+    # tol = 0 mostly runs to the 80-halving cap and tol = 1e-15 passes level
+    # 48 into the plain loop; tol = 1e-12 ends in the deepest grids.
+    rng = np.random.default_rng(4000 + vocab)
+    limit = math.log(vocab)
+    for count in (1, 3, 12):
+        for _ in range(10):
+            _assert_matches_reference(rng.uniform(0.0, limit, size=count), vocab, tol)
+
+
+@pytest.mark.parametrize("failing", ["every block", "table", "first grid", "alternate"])
+def test_solve_mixture_eps_fallback_loop_matches_reference(monkeypatch, failing):
+    # Declare some blocks not monotone along the path, so the plain loop
+    # resolves those levels and the table or grids resume after them.
+    fails = {"every block": lambda block: True,
+             "table": lambda block: block == 0,
+             "first grid": lambda block: block == 1,
+             "alternate": lambda block: block % 2 == 1}[failing]
+    blocks = []
+
+    def monotone_unless_failing(above, past_bracket):
+        blocks.append(None)
+        return not fails(len(blocks) - 1)
+
+    monkeypatch.setattr(agents, "_monotone_along_path", monotone_unless_failing)
+    rng = np.random.default_rng(5000)
+    for vocab in VOCABS:
+        limit = math.log(vocab)
+        for tol in (1e-9, 0.0):
+            for count in (1, 12):
+                blocks.clear()
+                targets = rng.uniform(0.0, limit, size=count)
+                if count > 1:
+                    targets[0] = limit
+                _assert_matches_reference(targets, vocab, tol)
+                assert len(blocks) >= 3
+
+
+def test_import_builds_no_table_and_loads_no_http_client():
+    # The entropy table is built on first use; requests loads with the
+    # first remote backend.
+    code = ("import sys, agentroute, agentroute.cli, agentroute.agents as a;"
+            " print(a._entropy_table.cache_info().currsize, 'requests' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout.split() == ["0", "False"], result.stderr
+
+
+def test_mock_jittered_responses_match_reference_solver(monkeypatch):
+    profiles = [_profile(target, jitter=jitter, vocab=vocab, agent_id=i)
+                for i, (target, jitter, vocab) in enumerate([
+                    (0.8, 0.05, 16), (2.5, 0.3, 16), (0.05, 0.1, 16),
+                    (3.0, 0.2, 50), (0.4, 0.05, 2)])]
+    seeds = range(300)
+    fast = [mock_execute(p, Prompt("x"), "default", seed=s, step_index=2)
+            for p in profiles for s in seeds]
+    monkeypatch.setattr(agents, "solve_mixture_eps", _reference_solve_mixture_eps)
+    slow = [mock_execute(p, Prompt("x"), "default", seed=s, step_index=2)
+            for p in profiles for s in seeds]
+    assert fast == slow
 
 
 def test_mock_constant_target_memo_cold_and_warm_agree():

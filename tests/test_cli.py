@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +386,30 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["infer", "--config", str(missing), "--query", "q"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Port 9 (discard) has no listener, so every request is refused at once.
+DEAD_ENDPOINT = "http://127.0.0.1:9/v1"
+
+
+@pytest.mark.parametrize("section, dead", [
+    ("[summarizer]\nbackend = mock", "[summarizer]\nbackend = chat\nendpoint = " + DEAD_ENDPOINT),
+    ("[embedder]\nkind = hash", "[embedder]\nkind = remote\nendpoint = " + DEAD_ENDPOINT),
+], ids=["summarizer", "embedder"])
+def test_main_reports_unreachable_endpoint_without_traceback(tmp_path, section, dead):
+    config = write_config(tmp_path / "run.conf")
+    text = config.read_text()
+    assert section in text
+    config.write_text(text.replace(section, dead))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "agentroute.cli", "infer", "--config", str(config),
+         "--query", "[tag:alpha] q"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
 
 
 def test_main_runs_gradcheck(tmp_path, capsys):

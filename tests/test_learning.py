@@ -10,6 +10,7 @@ from agentroute.learning import (AdamWHyper, adamw_step, clip_gradients,
                                  mse_loss_grad, predictive_entropy, ranking_loss,
                                  ranking_loss_grad, total_loss, triplet_loss,
                                  triplet_loss_grad)
+from agentroute.numerics import global_norm
 
 
 # --- predictive entropy ---
@@ -226,6 +227,17 @@ def test_clip_norm_equals_min_of_norm_and_budget():
         assert abs(after - min(before, 1.0)) <= 1e-12
         assert np.all(np.abs(out.a) <= np.abs(grads.a) + 1e-15)
         assert np.all(np.abs(out.b) <= np.abs(grads.b) + 1e-15)
+
+
+def test_global_norm_matches_fsum_reference():
+    rng = np.random.default_rng(31)
+    for rows, cols in ((3, 2), (40, 30), (300, 200)):
+        grads = Toy(a=rng.normal(size=(2 * rows, 3 * cols))[::2, 1::3],
+                    b=rng.normal(size=(cols, rows)).T)
+        assert not grads.a.flags.contiguous and not grads.b.flags.c_contiguous
+        squares = [x * x for arr in (grads.a, grads.b) for x in arr.ravel().tolist()]
+        reference = math.sqrt(math.fsum(squares))
+        assert abs(global_norm(grads) - reference) <= 1e-12 * reference
 
 
 # --- AdamW ---
