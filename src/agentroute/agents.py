@@ -209,8 +209,9 @@ class MockProfile:
     memoised; jittered targets are drawn and solved afresh on every call
     and bypass the memo. That solve is cheap all the same: it reads the
     first 16 bisection levels from a per-vocab entropy table, built on
-    first use, and resolves later levels 8 at a time on local grids, bit
-    for bit as the plain loop (see solve_mixture_eps).
+    first use, and predicts the path of the next 32 with two Newton steps,
+    checked at its own midpoints, bit for bit as the plain loop (see
+    solve_mixture_eps).
     """
 
     agent_id: int
@@ -240,26 +241,26 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return out
 
 
-# The bisection's level-L midpoints are the odd multiples of 2**-L. While
-# L <= _EXACT_LEVELS, lo + k * 2**-L is the very double that 0.5 * (lo + hi)
-# gives, so table and grid points are the plain loop's midpoints.
+# Levels 1-16 come from a per-vocab table. Levels 17-48 follow a path read
+# off a Newton estimate of the root; 16 + 32 levels stay below level 52, up
+# to which lo + k * 2**-L is the very double that 0.5 * (lo + hi) gives, so
+# table and path points are the plain loop's midpoints.
 _TABLE_LEVELS = 16
-_GRID_LEVELS = 8
-_EXACT_LEVELS = 52
+_PATH_LEVELS = 32
 _MAX_ITERATIONS = 80
 _TABLE_CHUNK = 2048
-_GRID_POINTS = np.arange(1, 1 << _GRID_LEVELS, dtype=np.float64)
+_TOP_SNAP = 1e-15  # targets this close to ln vocab snap to eps = 1
 
 
 def _path_masks(levels: int):
-    # A bracket count c (grid points at or below the target) fixes the path:
+    # A bracket count c (block points at or below the target) fixes the path:
     # the level-l point clears the low s = levels - l + 1 bits of c and sets
     # bit s - 1. Rows are levels, shallowest first.
     shift = np.arange(levels, 0, -1)[:, None]
     return ~((1 << shift) - 1), 1 << (shift - 1)
 
 
-_PATH_MASKS = {levels: _path_masks(levels) for levels in (_TABLE_LEVELS, _GRID_LEVELS)}
+_PATH_MASKS = {levels: _path_masks(levels) for levels in (_TABLE_LEVELS, _PATH_LEVELS)}
 
 
 def _mixture_entropy(eps, vocab_size: int):
@@ -287,10 +288,40 @@ def _entropy_table(vocab_size: int) -> np.ndarray:
     return table
 
 
+def _newton_root(t, lo, level: int, vocab_size: int):
+    """Estimate each target's root in [lo, lo + 2**-level] by two Newton
+    steps from the midpoint, with the slope
+    H'(eps) = (1 - 1/V) * ln(p_top / p_rest). Each step is clipped to the
+    bracket, and a NaN step (a zero slope, or log 0 at eps = 0) gives lo.
+    A target that snaps to eps = 1 gives the bracket's top: H - ln V has a
+    double root at eps = 1, so Newton would only halve the distance per
+    step, while the loop moves up at every level until rounding noise.
+    Only the path read from the estimate depends on it, and the path is
+    checked, so it need not be exact."""
+    hi = lo + math.ldexp(1.0, -level)
+    eps = lo + math.ldexp(1.0, -level - 1)
+    scale = 1.0 - 1.0 / vocab_size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            p_top = 1.0 - scale * eps
+            p_rest = eps / vocab_size
+            log_top, log_rest = np.log(p_top), np.log(p_rest)
+            shortfall = t + (p_top * log_top + (vocab_size - 1) * (p_rest * log_rest))
+            step = eps + shortfall / (scale * (log_top - log_rest))
+            eps = np.fmin(np.fmax(step, lo), hi)  # fmax maps NaN to lo
+    return np.where(t >= math.log(vocab_size) - _TOP_SNAP, hi, eps)
+
+
+def _path_count(root, lo, level: int, width: int):
+    # The root's bracket count among the 2**width - 1 points that split
+    # [lo, lo + 2**-level] into 2**width cells; NaN reads as 0.
+    cells = np.floor((root - lo) * math.ldexp(1.0, level + width))
+    return np.fmin(np.fmax(cells, 0.0), (1 << width) - 1).astype(np.int64)
+
+
 def _monotone_along_path(above, past_bracket) -> bool:
     """True when the bracket's path makes the bisection's own comparisons:
-    entropy above the target exactly at the points past the bracket. This
-    holds wherever the grid is monotone along the path."""
+    entropy above the target exactly at the points past the bracket."""
     return bool((above == past_bracket).all())
 
 
@@ -303,15 +334,18 @@ def solve_mixture_eps(targets, vocab_size: int, tol: float = 1e-9) -> np.ndarray
     the entropy h at each midpoint, stop at the first midpoint after the
     first where max|h - t| <= tol over all targets, or after 80 halvings.
 
-    The loop's midpoints are dyadic, so many levels resolve per numpy call.
-    A per-vocab table of the entropy at the first 16 levels' points gives
-    each target's level-16 bracket by searchsorted; gathering the table at
-    the path's points checks the stop rule at every one of those levels.
-    Each later block of 8 levels does the same on a local grid of 255
-    points inside the bracket. The plain loop resolves a block whose path
-    disagrees with its grid (the grid is not monotone along it), and all
-    levels from 48 on, where one more block would pass level 52 and
-    lo + k * 2**-L could stop being exactly 0.5 * (lo + hi).
+    The loop's midpoints are dyadic, so a bracket count fixes a whole path
+    of them. A per-vocab table of the entropy at the first 16 levels'
+    points gives each target's level-16 bracket count by searchsorted. Two
+    Newton steps inside that bracket predict the root, whose level-48
+    bracket count gives the path's next 32 midpoints. Each block evaluates
+    h at its path (a gather from the table, one entropy call for the
+    predicted path) and finds the first level where the stop rule holds;
+    the path is accepted if the loop's comparisons at the levels before it
+    agree with it. Otherwise the plain loop resumes at the first level that
+    disagrees. The plain loop also resolves every level past 48, where one
+    more block would pass level 52 and lo + k * 2**-L could stop being
+    exactly 0.5 * (lo + hi).
     """
     t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
     limit = math.log(vocab_size)
@@ -319,30 +353,35 @@ def solve_mixture_eps(targets, vocab_size: int, tol: float = 1e-9) -> np.ndarray
         raise ValueError("target entropy outside [0, ln vocab_size]")
     lo = np.zeros_like(t)
     level = 0  # bisection levels resolved; [lo, lo + 2**-level] brackets
-    while level + _GRID_LEVELS <= _EXACT_LEVELS:
+    for width in (_TABLE_LEVELS, _PATH_LEVELS):
         # Point k of this block is lo + k * spacing, k = 1 .. 2**width - 1.
-        width = _TABLE_LEVELS if level == 0 else _GRID_LEVELS
         spacing = math.ldexp(1.0, -(level + width))
-        if level == 0:
-            values = _entropy_table(vocab_size)
-            count = np.searchsorted(values, t, side="right")
-            offset = -1
-        else:
-            grid = _mixture_entropy(lo[:, None] + _GRID_POINTS * spacing, vocab_size)
-            count = np.count_nonzero(grid <= t[:, None], axis=1)
-            values = grid.ravel()
-            offset = np.arange(t.size) * _GRID_POINTS.size - 1
         keep, half = _PATH_MASKS[width]
-        path = (count & keep) | half
-        h = values[path + offset]
-        if _monotone_along_path(h > t, path > count):
-            stop = np.abs(h - t).max(axis=1) <= tol
-            stop[0] &= level > 0  # the first midpoint is never checked
-            if stop.any():
-                return _snap_endpoints(lo + path[stop.argmax()] * spacing, t, limit)
+        if level == 0:
+            table = _entropy_table(vocab_size)
+            count = np.searchsorted(table, t, side="right")
+            path = (count & keep) | half
+            h = table[path - 1]
+        else:
+            count = _path_count(_newton_root(t, lo, level, vocab_size), lo, level, width)
+            path = (count & keep) | half
+            h = _mixture_entropy(lo + path * spacing, vocab_size)
+        stop = np.abs(h - t).max(axis=1) <= tol
+        stop[0] &= level > 0  # the first midpoint is never checked
+        depth = int(stop.argmax()) if stop.any() else width
+        # Only the comparisons before the stop decide where the loop stops.
+        above, past_bracket = h[:depth] > t, path[:depth] > count
+        if _monotone_along_path(above, past_bracket):
+            if depth < width:
+                return _snap_endpoints(lo + path[depth] * spacing, t, limit)
             lo = lo + count * spacing
         else:
-            lo, eps = _bisect(t, lo, level, level + width, vocab_size, tol)
+            # The path is the loop's own up to its first disagreement (the
+            # block's start, if the check failed with none).
+            wrong = (above != past_bracket).any(axis=1)
+            resume = int(wrong.argmax()) if wrong.any() else 0
+            lo = lo + (count & keep[resume]) * spacing
+            lo, eps = _bisect(t, lo, level + resume, level + width, vocab_size, tol)
             if eps is not None:
                 return _snap_endpoints(eps, t, limit)
         level += width
@@ -370,7 +409,7 @@ def _bisect(t, lo, level, last, vocab_size: int, tol: float):
 
 def _snap_endpoints(eps, t, limit):
     eps[t <= 0.0] = 0.0
-    eps[t >= limit - 1e-15] = 1.0
+    eps[t >= limit - _TOP_SNAP] = 1.0
     return eps
 
 
@@ -398,8 +437,7 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
     if jitter > 0.0:
         targets = np.clip(target + jitter * rng.standard_normal(count),
                           0.0, math.log(vocab))
-        unique, inverse = np.unique(targets, return_inverse=True)
-        eps = solve_mixture_eps(unique, vocab)[inverse]
+        eps = solve_mixture_eps(targets, vocab)
     else:
         eps = np.full(count, _constant_target_eps(float(target), vocab))
     top_symbol = rng.integers(0, vocab, size=count)
@@ -466,19 +504,26 @@ def chat_execute(agent: AgentSpec, prompt: Prompt, endpoint: str, *,
         data = resp.json()
         choice = data["choices"][0]
         text = choice["message"]["content"]
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"malformed chat response from {endpoint}: {exc}") from exc
     if not isinstance(text, str):
         raise TransportError(
             f"malformed chat response from {endpoint}: message content is not a string")
     logprobs = choice.get("logprobs") or {}
+    if not isinstance(logprobs, dict):
+        raise TransportError(
+            f"malformed chat response from {endpoint}: logprobs is not an object")
     content = logprobs.get("content")
     if not content:
         usage = data.get("usage", {})
         if not isinstance(usage, dict):
             raise TransportError(
                 f"malformed chat response from {endpoint}: usage is not an object")
-        token_count = int(usage.get("completion_tokens") or 0)
+        try:
+            token_count = int(usage.get("completion_tokens") or 0)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TransportError(
+                f"malformed chat response from {endpoint}: completion_tokens {exc}") from exc
         if token_count < 1:
             token_count = max(1, len(text.split()))
         return AgentResponse(agent_id=agent.agent_id, step_index=step_index,
@@ -659,9 +704,12 @@ class ChatSummarizer:
         if resp.status_code != 200:
             raise TransportError(f"summarizer request failed: HTTP {resp.status_code}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError) as exc:
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed summarizer response: {exc}") from exc
+        if not isinstance(content, str):
+            raise TransportError("malformed summarizer response: content is not a string")
+        return content
 
     def decide(self, query, responses):
         return parse_summarizer_reply(self._call(self.SYSTEM, query, responses))

@@ -83,9 +83,12 @@ def remote_embed(text: str, endpoint: str, dim: int, *, api_key: str | None = No
             f"embedding request to {endpoint} failed: HTTP {resp.status_code}")
     try:
         values = resp.json()["embedding"]
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise RemoteEmbedError("embedding response missing 'embedding' field") from exc
-    vec = np.asarray(values, dtype=np.float64)
+    try:
+        vec = np.asarray(values, dtype=np.float64)
+    except (ValueError, TypeError) as exc:
+        raise RemoteEmbedError(f"embedding entries are not numbers: {exc}") from exc
     if vec.ndim != 1 or vec.shape[0] != dim:
         raise RemoteEmbedError(
             f"embedding dimension mismatch: expected {dim}, received {vec.size}")

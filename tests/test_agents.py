@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from agentroute import agents
-from agentroute.agents import (CONTINUE, ChatPoolBackend, Final, MockPoolBackend,
+from agentroute.agents import (CONTINUE, ChatPoolBackend, ChatSummarizer, Final,
+                               MockPoolBackend,
                                MockProfile, MockSummarizer, RESPONSES_HEADER,
                                TOOL_UNAVAILABLE_NOTICE, TOOLS, ToolError,
                                TransportError, assemble_prompt, calculator_tool,
@@ -255,8 +256,9 @@ def _record_path_checks(monkeypatch):
 @pytest.mark.parametrize("vocab", VOCABS)
 def test_solve_mixture_eps_matches_reference_on_jittered_targets(vocab, monkeypatch):
     # The shape of mock_execute's input: up to 12 targets jittered around a
-    # centre and clipped to [0, ln vocab]. Only a target clipped to ln vocab,
-    # where the entropy is flat to rounding, sends a block to the plain loop.
+    # centre and clipped to [0, ln vocab]. No block goes to the plain loop,
+    # not even with a target clipped to ln vocab, where the entropy is flat
+    # to rounding: the path predicted for it runs up at every level.
     checks = _record_path_checks(monkeypatch)
     rng = np.random.default_rng(1000 + vocab)
     limit = math.log(vocab)
@@ -267,7 +269,7 @@ def test_solve_mixture_eps_matches_reference_on_jittered_targets(vocab, monkeypa
         targets = np.clip(centre + jitter * rng.standard_normal(count), 0.0, limit)
         checks.clear()
         _assert_matches_reference(targets, vocab)
-        assert checks and (all(checks) or targets.max() == limit)
+        assert checks and all(checks)
 
 
 @pytest.mark.parametrize("vocab", VOCABS)
@@ -316,7 +318,8 @@ def test_solve_mixture_eps_matches_reference_at_the_endpoints(vocab):
 @pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-12])
 def test_solve_mixture_eps_matches_reference_at_deep_levels(vocab, tol):
     # tol = 0 mostly runs to the 80-halving cap and tol = 1e-15 passes level
-    # 48 into the plain loop; tol = 1e-12 ends in the deepest grids.
+    # 48 into the plain loop; tol = 1e-12 ends in the predicted path's
+    # deepest levels.
     rng = np.random.default_rng(4000 + vocab)
     limit = math.log(vocab)
     for count in (1, 3, 12):
@@ -324,19 +327,24 @@ def test_solve_mixture_eps_matches_reference_at_deep_levels(vocab, tol):
             _assert_matches_reference(rng.uniform(0.0, limit, size=count), vocab, tol)
 
 
-@pytest.mark.parametrize("failing", ["every block", "table", "first grid", "alternate"])
+@pytest.mark.parametrize("failing", ["every block", "table", "path", "alternate"])
 def test_solve_mixture_eps_fallback_loop_matches_reference(monkeypatch, failing):
     # Declare some blocks not monotone along the path, so the plain loop
-    # resolves those levels and the table or grids resume after them.
+    # resolves those levels; the predicted path still follows a failed
+    # table. Block 0 is the table and block 1 the path, so "alternate"
+    # fails the path only.
     fails = {"every block": lambda block: True,
              "table": lambda block: block == 0,
-             "first grid": lambda block: block == 1,
+             "path": lambda block: block == 1,
              "alternate": lambda block: block % 2 == 1}[failing]
     blocks = []
+    check = agents._monotone_along_path
 
     def monotone_unless_failing(above, past_bracket):
+        # A forced failure is always safe; a path that really disagrees
+        # must still fail.
         blocks.append(None)
-        return not fails(len(blocks) - 1)
+        return not fails(len(blocks) - 1) and check(above, past_bracket)
 
     monkeypatch.setattr(agents, "_monotone_along_path", monotone_unless_failing)
     rng = np.random.default_rng(5000)
@@ -349,7 +357,71 @@ def test_solve_mixture_eps_fallback_loop_matches_reference(monkeypatch, failing)
                 if count > 1:
                     targets[0] = limit
                 _assert_matches_reference(targets, vocab, tol)
-                assert len(blocks) >= 3
+                assert len(blocks) == 2
+
+
+@pytest.mark.parametrize("estimate", ["lo", "hi", "nan"])
+def test_solve_mixture_eps_survives_a_useless_root_estimate(monkeypatch, estimate):
+    # The Newton estimate only picks the path to check: the bracket's ends,
+    # or NaN, give wrong paths, and the plain loop must repair them.
+    def root_at(t, lo, level, vocab_size):
+        return {"lo": lo, "hi": lo + 2.0 ** -level,
+                "nan": np.full_like(lo, np.nan)}[estimate]
+
+    monkeypatch.setattr(agents, "_newton_root", root_at)
+    rng = np.random.default_rng(6000)
+    for vocab in VOCABS:
+        limit = math.log(vocab)
+        for tol in (1e-9, 0.0, 1e-12):
+            for count in (1, 12):
+                _assert_matches_reference(rng.uniform(0.0, limit, size=count), vocab, tol)
+
+
+@pytest.mark.parametrize("row", [0, 7, 20])
+def test_solve_mixture_eps_resumes_where_the_path_disagrees(monkeypatch, row):
+    # Flip one bit of the predicted level-48 bracket count: the path keeps
+    # its midpoints up to that row but makes the wrong comparison there, so
+    # the plain loop must take over at exactly that level. Tiny tol keeps
+    # the stop rule from ending the solve inside the path.
+    newton_root, path_count = agents._newton_root, agents._path_count
+    width = agents._PATH_LEVELS
+
+    def flipped_root(t, lo, level, vocab_size):
+        count = path_count(newton_root(t, lo, level, vocab_size), lo, level, width)
+        return lo + ((count ^ (1 << (width - 1 - row))) + 0.5) * 2.0 ** -(level + width)
+
+    resumed = []
+    bisect = agents._bisect
+
+    def recorded_bisect(t, lo, level, last, vocab_size, tol):
+        resumed.append(level)
+        return bisect(t, lo, level, last, vocab_size, tol)
+
+    monkeypatch.setattr(agents, "_newton_root", flipped_root)
+    monkeypatch.setattr(agents, "_bisect", recorded_bisect)
+    rng = np.random.default_rng(7000 + row)
+    for vocab in VOCABS:
+        limit = math.log(vocab)
+        for tol in (1e-15, 0.0):
+            for count in (1, 12):
+                resumed.clear()
+                _assert_matches_reference(rng.uniform(0.0, limit, size=count), vocab, tol)
+                assert resumed[0] == agents._TABLE_LEVELS + row
+
+
+@pytest.mark.parametrize("vocab", VOCABS)
+def test_solve_mixture_eps_duplicate_targets_match_unique_solve(vocab):
+    # The stop rule is a max over targets and each path depends only on its
+    # own target, so repeats change no bits: mock_execute solves its
+    # jittered targets without deduplicating them.
+    rng = np.random.default_rng(8000 + vocab)
+    limit = math.log(vocab)
+    for _ in range(50):
+        repeats = rng.uniform(0.0, limit, size=4)[rng.integers(0, 4, size=8)]
+        targets = rng.permutation(np.concatenate([repeats, [0.0, 0.0, limit, limit]]))
+        unique, inverse = np.unique(targets, return_inverse=True)
+        want = _reference_solve_mixture_eps(unique, vocab)[inverse]
+        assert solve_mixture_eps(targets, vocab).tobytes() == want.tobytes()
 
 
 def test_import_builds_no_table_and_loads_no_http_client():
@@ -580,6 +652,33 @@ def test_chat_null_content_is_transport_error(http_server, with_logprobs):
         chat_execute(_spec(), Prompt("s"), url)
 
 
+def _chat_with_logprobs(logprobs):
+    payload = _chat_payload("a", None)
+    payload["choices"][0]["logprobs"] = logprobs
+    return payload
+
+
+def _chat_with_usage(usage):
+    payload = _chat_payload("a", None)
+    payload["usage"] = usage
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    [{"choices": []}],                                 # a list body
+    {"choices": None},                                 # null choices
+    {"choices": [None]},                               # a null choice
+    {"choices": [{"message": None}]},                  # a null message
+    _chat_with_logprobs([{"token": "a"}]),             # a list of logprobs
+    _chat_with_usage({"completion_tokens": "many"}),   # non-numeric token count
+], ids=["list body", "null choices", "null choice", "null message",
+        "list logprobs", "text completion_tokens"])
+def test_chat_malformed_payload_is_transport_error(http_server, payload):
+    url = http_server(lambda p, b, h: (200, payload))
+    with pytest.raises(TransportError, match="malformed chat response"):
+        chat_execute(_spec(), Prompt("s"), url)
+
+
 def test_chat_pool_backend_round_trip(http_server):
     tokens = [{"token": "a", "logprob": 0.0,
                "top_logprobs": [{"token": "a", "logprob": 0.0}]}]
@@ -630,3 +729,16 @@ def test_summarize_final_always_answers():
     assert summarizer_decide("q", [_resp(0, 5, "t")], backend) is CONTINUE
     answer = summarize_final("q", [_resp(0, 5, "t")], backend)
     assert "q" in answer
+
+
+@pytest.mark.parametrize("payload", [
+    {"choices": [{"message": None}]},                   # a null message
+    {"choices": [{"message": {"content": None}}]},      # null content
+    {"choices": [{"message": {"content": 7}}]},         # integer content
+], ids=["null message", "null content", "integer content"])
+def test_chat_summarizer_malformed_reply_is_transport_error(http_server, payload):
+    url = http_server(lambda p, b, h: (200, payload))
+    summarizer = ChatSummarizer(url)
+    for ask in (summarizer.decide, summarizer.finalize):
+        with pytest.raises(TransportError, match="malformed summarizer response"):
+            ask("q", [_resp(0, 1, "t")])

@@ -95,6 +95,18 @@ def test_remote_embed_rejects_non_finite_entries(http_server):
         remote_embed("text", url, 2)
 
 
+@pytest.mark.parametrize("body", [
+    [[0.5, 0.5]],
+    None,
+    {"embedding": ["a", "b"]},
+    {"embedding": [{}, {"x": 1}]},
+], ids=["list body", "null body", "string entries", "object entries"])
+def test_remote_embed_malformed_body_is_typed(http_server, body):
+    url = http_server(lambda path, b, headers: (200, body))
+    with pytest.raises(RemoteEmbedError):
+        remote_embed("text", url, 2)
+
+
 def test_remote_embed_reports_http_errors(http_server):
     url = http_server(lambda path, body, headers: (500, {"error": "boom"}))
     with pytest.raises(RemoteEmbedError, match="HTTP 500"):
