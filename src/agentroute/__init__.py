@@ -19,7 +19,7 @@ from .learning import AdamWHyper, OptimizerState, adamw_step, clip_gradients, \
     confidence, get_loss, init_optimizer, listmle_loss, mse_loss, \
     predictive_entropy, ranking_loss, total_loss, triplet_loss
 from .agents import ChatPoolBackend, ChatSummarizer, Final, CONTINUE, \
-    MockPoolBackend, MockProfile, MockSummarizer, ToolError, ToolSpec, TOOLS, \
+    MockPoolBackend, MockProfile, MockSummarizer, ToolError, TOOLS, \
     TransportError, assemble_prompt, calculator_tool, chat_execute, \
     mock_execute, parse_summarizer_reply, summarize_final, summarizer_decide
 from .orchestrator import OrchestrationError, Runtime, TrainingSettings, \

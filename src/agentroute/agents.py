@@ -1,6 +1,6 @@
 """Agent runtime: prompt assembly, deterministic mock agents with
 controllable output entropy, an OpenAI-style chat client that derives
-entropy from logprobs, tools, and the summarizer.
+entropy from logprobs, the tool list prompts describe, and the summarizer.
 
 Mock agents are the ground-truth supervision path: they synthesize token
 distributions whose entropy hits a per-task target exactly, so tests can
@@ -46,10 +46,7 @@ class ToolError(ValueError):
     """A tool rejected its input."""
 
 
-# --- tools ---
-
-TOOL_UNAVAILABLE_NOTICE = "tool unavailable in this environment"
-
+# --- calculator ---
 
 class _Parser:
     # Recursive descent over: expr := term (('+'|'-') term)*
@@ -130,38 +127,14 @@ def calculator_tool(expression: str) -> str:
     return repr(value)
 
 
-@dataclass(frozen=True)
-class ToolSpec:
-    name: str
-    description: str
-    run: object  # callable: input string -> output string
-
-
-def _stub_tool(_: str) -> str:
-    return TOOL_UNAVAILABLE_NOTICE
-
-
+# Tools are named and described in prompts; no agent invokes one here.
 TOOLS = {
-    "calculator": ToolSpec(
-        "calculator",
+    "calculator":
         "evaluates standard mathematical expressions and returns the numeric result",
-        calculator_tool),
-    "python": ToolSpec(
-        "python",
-        "executes a script and returns its output (stubbed: no sandbox here)",
-        _stub_tool),
-    "search": ToolSpec(
-        "search",
-        "queries a web search engine (stubbed: offline)",
-        _stub_tool),
-    "knowledge": ToolSpec(
-        "knowledge",
-        "looks up reference material (stubbed: offline)",
-        _stub_tool),
-    "unit_tests": ToolSpec(
-        "unit_tests",
-        "runs unit tests against candidate code (stubbed: no sandbox here)",
-        _stub_tool),
+    "python": "executes a script and returns its output (stubbed: no sandbox here)",
+    "search": "queries a web search engine (stubbed: offline)",
+    "knowledge": "looks up reference material (stubbed: offline)",
+    "unit_tests": "runs unit tests against candidate code (stubbed: no sandbox here)",
 }
 
 
@@ -180,8 +153,7 @@ def assemble_prompt(agent: AgentSpec, user_query: str,
         for name in agent.tool_names:
             if name not in TOOLS:
                 raise ConfigError(f"unknown tool {name!r} for agent {agent.agent_id}")
-            spec = TOOLS[name]
-            lines.append(f"- [{spec.name}] {spec.description}")
+            lines.append(f"- [{name}] {TOOLS[name]}")
     lines.append("")
     lines.append(user_query)
     system_part = "\n".join(lines)

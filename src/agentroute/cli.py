@@ -379,6 +379,8 @@ def _write_metrics(path, report):
     lines = ["epoch,batch,loss"]
     for epoch, batch, loss in report.loss_rows:
         lines.append(f"{epoch},{batch},{_fmt(loss)}")
+    for epoch, agreement in enumerate(report.epoch_agreements, start=1):
+        lines.append(f"# epoch={epoch} routing_agreement={_fmt(agreement)}")
     lines.append(f"# summary epochs={len(report.epoch_losses)}"
                  f" final_epoch_mean_loss={_fmt(report.epoch_losses[-1])}"
                  f" routing_agreement={_fmt(report.routing_agreement)}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import global_norm, iter_arrays, map_arrays, sigmoid, \
-    softmax, softplus
+from .numerics import field_at, flatten, global_norm, iter_arrays, sigmoid, \
+    softmax, softplus, unflatten
 
 LOSS_KINDS = ("ranking", "mse", "listmle", "triplet")
 
@@ -160,13 +160,15 @@ def total_loss(per_step_losses) -> float:
 
 
 def clip_gradients(grads, clip_norm: float):
-    """Scale all gradients so the global L2 norm is at most clip_norm."""
+    """Scale all gradients in place so the global L2 norm is at most
+    clip_norm; returns the same container."""
     if clip_norm <= 0.0:
         raise ValueError("clip_norm must be positive")
     norm = global_norm(grads)
     if norm > clip_norm:
         scale = clip_norm / norm
-        return map_arrays(lambda arr: arr * scale, grads)
+        for _, arr in iter_arrays(grads):
+            arr *= scale
     return grads
 
 
@@ -180,16 +182,28 @@ class AdamWHyper:
     clip_norm: float = 1.0
 
 
+# Elements per pass of the AdamW update: the chunk's slices of the six
+# flat vectors it touches stay in cache between the update's operations.
+# At d=384, 16K to 64K timed alike and 128K was slower.
+ADAMW_CHUNK = 32768
+
+
 @dataclass
 class OptimizerState:
-    """AdamW moments plus two scratch buffers, all None until the first
-    step creates them, so setting up an optimizer costs nothing."""
+    """AdamW moments, a scratch buffer and the training loop's gradient
+    buffer, all None until first used, so setting up an optimizer costs
+    nothing. Both moments live in one (2, size) buffer, `moments`;
+    first_moment and second_moment are views into its rows with the
+    parameters' field names and shapes. `grads` is the gradient container
+    the training loop asks `reduce_gradients` to fill for every batch."""
 
     first_moment: object
     second_moment: object
     step_count: int
     hyper: AdamWHyper
-    scratch: tuple | None = None
+    moments: np.ndarray | None = None
+    scratch: np.ndarray | None = None
+    grads: object = None
 
 
 def init_optimizer(params, hyper: AdamWHyper) -> OptimizerState:
@@ -201,29 +215,36 @@ def adamw_step(params, grads, state: OptimizerState):
     """Decoupled-weight-decay Adam with bias correction.
 
     Mutates the optimizer state in place and returns the updated parameter
-    container; the input parameters are left untouched. Intermediates go
-    through two float64 scratch buffers, sized for the largest tensor and
-    reused for every tensor and step, in the operation order of
+    container, flat-backed; the input parameters are left untouched. The
+    update runs over the flat vectors of the parameters, the gradients
+    (copied into one first when they are not flat-backed, see
+    `numerics.flatten`) and the moments, ADAMW_CHUNK elements at a time,
+    with intermediates in a scratch buffer of two chunks. Per element it
+    keeps the operation order of
         m = beta1 m + (1 - beta1) g
         v = beta2 v + (1 - beta2) g^2
         p - lr ((m / bias1) / (sqrt(v / bias2) + epsilon) + weight_decay p)
+    so the bits do not depend on the chunking. A non-finite update raises
+    ValueError naming its tensor.
     """
     hyper = state.hyper
-    if state.first_moment is None:
-        state.first_moment = map_arrays(np.zeros_like, params)
-        state.second_moment = map_arrays(np.zeros_like, params)
-        largest = max(p.size for _, p in iter_arrays(params))
-        state.scratch = (np.empty(largest), np.empty(largest))
+    p_all, g_all = flatten(params), flatten(grads)
+    shapes = {name: arr.shape for name, arr in iter_arrays(params)}
+    if state.moments is None:
+        state.moments = np.zeros((2, p_all.size))
+        state.first_moment, state.second_moment = (
+            unflatten(row, shapes, type(params)) for row in state.moments)
+        state.scratch = np.empty((2, ADAMW_CHUNK))
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - hyper.beta1 ** t
     bias2 = 1.0 - hyper.beta2 ** t
-    updated = {}
-    for name, p in iter_arrays(params):
-        g = getattr(grads, name)
-        m = getattr(state.first_moment, name)
-        v = getattr(state.second_moment, name)
-        a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch)
+    new_all = np.empty(p_all.size)
+    for start in range(0, p_all.size, ADAMW_CHUNK):
+        chunk = slice(start, start + ADAMW_CHUNK)
+        p, g, new = p_all[chunk], g_all[chunk], new_all[chunk]
+        m, v = state.moments[:, chunk]
+        a, b = state.scratch[:, :p.size]
         m *= hyper.beta1
         m += np.multiply(g, 1.0 - hyper.beta1, out=a)
         v *= hyper.beta2
@@ -237,8 +258,9 @@ def adamw_step(params, grads, state: OptimizerState):
             a /= b
             a += np.multiply(p, hyper.weight_decay, out=b)
             a *= hyper.lr
-            new = p - a
-        if not np.all(np.isfinite(new)):
-            raise ValueError(f"non-finite optimizer update for {name}")
-        updated[name] = new
-    return type(params)(**updated)
+            np.subtract(p, a, out=new)
+        finite = np.isfinite(new)
+        if not finite.all():
+            bad = start + int(np.argmin(finite))
+            raise ValueError(f"non-finite optimizer update for {field_at(params, bad)}")
+    return unflatten(new_all, shapes, type(params))

@@ -51,6 +51,54 @@ def map_arrays(fn, container):
     return type(container)(**{name: fn(arr) for name, arr in iter_arrays(container)})
 
 
+def flatten(container) -> np.ndarray:
+    """The container's arrays as one float64 vector in field order.
+
+    When the arrays are C-contiguous views that tile one 1-D float64
+    vector in field order, as `unflatten` lays them out, that vector itself
+    is returned, so writing to it writes to the container; otherwise the
+    arrays are copied into a new vector."""
+    arrays = [arr for _, arr in iter_arrays(container)]
+    flat = arrays[0].base
+    if (isinstance(flat, np.ndarray) and flat.ndim == 1
+            and flat.dtype == np.float64 and flat.flags.c_contiguous):
+        address = flat.__array_interface__["data"][0]
+        for arr in arrays:
+            if (arr.base is not flat or arr.dtype != np.float64
+                    or not arr.flags.c_contiguous
+                    or arr.__array_interface__["data"][0] != address):
+                break
+            address += arr.nbytes
+        else:
+            if address == flat.__array_interface__["data"][0] + flat.nbytes:
+                return flat
+    return np.concatenate([arr.ravel() for arr in arrays], dtype=np.float64)
+
+
+def unflatten(flat: np.ndarray, shapes: dict, kind):
+    """A `kind` container whose arrays are views into `flat`, one per
+    (field name, shape) of `shapes`, laid out in that order."""
+    out = {}
+    offset = 0
+    for name, shape in shapes.items():
+        size = int(np.prod(shape))
+        out[name] = flat[offset: offset + size].reshape(shape)
+        offset += size
+    if offset != flat.size:
+        raise ValueError("flat vector size does not match the parameter shapes")
+    return kind(**out)
+
+
+def field_at(container, index: int) -> str:
+    """The name of the field holding element `index` of the container's
+    flat vector."""
+    for name, arr in iter_arrays(container):
+        if index < arr.size:
+            return name
+        index -= arr.size
+    raise IndexError("index past the container's last field")
+
+
 def global_norm(container) -> float:
     # A dot product per tensor sums the squares without a squared copy.
     total = 0.0

@@ -79,11 +79,13 @@ class TrainingSettings:
 @dataclass
 class TrainReport:
     """Loss curves plus the trained parameters and a routing-quality
-    summary: the fraction of final-epoch steps whose selected agents all
-    sat among the k lowest-entropy agents of that step."""
+    summary: per epoch, the fraction of its steps whose selected agents all
+    sat among the k lowest-entropy agents of that step; routing_agreement
+    is the final epoch's."""
 
     epoch_losses: list = field(default_factory=list)
     loss_rows: list = field(default_factory=list)  # (epoch, batch, mean loss)
+    epoch_agreements: list = field(default_factory=list)
     routing_agreement: float = 0.0
     params: RouterParams | None = None
 
@@ -239,8 +241,9 @@ def _dense_epoch(runtime: Runtime, queries, params: RouterParams,
 
     Each query runs densely, BPTT included; each batch then turns the
     gradient rows of all its queries into the batch-mean gradient at once,
-    clips it, and takes one AdamW step. Returns the updated parameters and,
-    per batch, the (loss, per-step infos, trajectory or None) of each query.
+    in the optimizer state's gradient buffer, clips it in place, and takes
+    one AdamW step. Returns the updated parameters and, per batch, the
+    (loss, per-step infos, trajectory or None) of each query.
     """
     loss_fn, grad_fn = get_loss(settings.loss_kind, settings.triplet_margin)
     results = []
@@ -257,8 +260,10 @@ def _dense_epoch(runtime: Runtime, queries, params: RouterParams,
                     f"training query {query_index} failed: {exc}") from exc
             batch_results.append((loss, infos, traj))
             batch_rows.append(rows)
-        grads = reduce_gradients(batch_rows, scale=1.0 / len(batch))
-        params = adamw_step(params, clip_gradients(grads, settings.clip_norm), state)
+        state.grads = reduce_gradients(batch_rows, scale=1.0 / len(batch),
+                                       out=state.grads)
+        params = adamw_step(params, clip_gradients(state.grads, settings.clip_norm),
+                            state)
         results.append(batch_results)
     return params, results
 
@@ -287,23 +292,23 @@ def train(runtime: Runtime, queries, params: RouterParams, config: RouterConfig,
         raise ConfigError("pool size does not match config.pool_size")
     state = init_optimizer(params, settings.adamw())
     report = TrainReport()
-    hits = 0
-    total_steps = 0
     for epoch in range(1, settings.epochs + 1):
         params, results = _dense_epoch(runtime, queries, params, config, settings,
                                        state, f"e{epoch}:", make_trajectory=False)
         epoch_batch_losses = []
+        hits = total_steps = 0
         for batch_index, batch_results in enumerate(results, start=1):
             mean_loss = sum(loss for loss, _, _ in batch_results) / len(batch_results)
             report.loss_rows.append((epoch, batch_index, mean_loss))
             epoch_batch_losses.append(mean_loss)
-            if epoch == settings.epochs:
-                for _, infos, _ in batch_results:
-                    for selected, entropy_vec in infos:
-                        hits += _agreement(selected, entropy_vec)
-                        total_steps += 1
+            for _, infos, _ in batch_results:
+                for selected, entropy_vec in infos:
+                    hits += _agreement(selected, entropy_vec)
+                    total_steps += 1
         report.epoch_losses.append(float(np.mean(epoch_batch_losses)))
-    report.routing_agreement = hits / total_steps if total_steps else 0.0
+        report.epoch_agreements.append(hits / total_steps)
+    if report.epoch_agreements:
+        report.routing_agreement = report.epoch_agreements[-1]
     report.params = params
     return report
 

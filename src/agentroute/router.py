@@ -22,13 +22,15 @@ by ascending agent index.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RouterConfig, derive_seed, validate_config
-from .numerics import iter_arrays, sigmoid, softmax, softmax_vjp
+from .numerics import field_at, flatten, iter_arrays, sigmoid, softmax, \
+    softmax_vjp, unflatten
 
 _SNAPSHOT_MAGIC = b"ARPS"
 _SNAPSHOT_VERSION = 1
@@ -43,7 +45,15 @@ PARAM_FIELDS = ("w_r", "w_u", "w_n", "u_r", "u_u", "u_n",
 class RouterParams:
     """All trainable tensors: GRU input/recurrent weights and biases plus
     the linear head. Shapes are (d, d) for weights, (d,) for biases,
-    (n, d) and (n,) for the head."""
+    (n, d) and (n,) for the head.
+
+    Every RouterParams the library builds (init_params, load_params,
+    reduce_gradients, adamw_step, flat_to_params) is flat-backed: its
+    tensors are C-contiguous views into one float64 vector, laid out in
+    PARAM_FIELDS order, which `params_to_flat` returns without a copy.
+    Writing to a tensor writes to that vector. A RouterParams built from
+    separate arrays works everywhere too, at the cost of a copy wherever
+    the flat vector is needed."""
 
     w_r: np.ndarray
     w_u: np.ndarray
@@ -74,9 +84,8 @@ def init_params(config: RouterConfig) -> RouterParams:
     d, n = config.embed_dim, config.pool_size
     rng = np.random.default_rng(derive_seed(config.seed, "router-init"))
     bound = 1.0 / np.sqrt(d)
-    tensors = {name: rng.uniform(-bound, bound, size=shape)
-               for name, shape in _param_shapes(d, n).items()}
-    return RouterParams(**tensors)
+    # One draw equals one draw per tensor in PARAM_FIELDS order.
+    return _params_view(rng.uniform(-bound, bound, size=_param_count(d, n)), d, n)
 
 
 def _param_shapes(d: int, n: int) -> dict:
@@ -87,20 +96,23 @@ def _param_shapes(d: int, n: int) -> dict:
             "w_out": (n, d), "b_out": (n,)}
 
 
+def _param_count(d: int, n: int) -> int:
+    return sum(math.prod(shape) for shape in _param_shapes(d, n).values())
+
+
+def _params_view(flat: np.ndarray, d: int, n: int) -> RouterParams:
+    return unflatten(flat, _param_shapes(d, n), RouterParams)
+
+
 def params_to_flat(params: RouterParams) -> np.ndarray:
-    return np.concatenate([getattr(params, name).ravel() for name in PARAM_FIELDS])
+    """The parameters as one vector in PARAM_FIELDS order: the backing
+    vector itself for flat-backed parameters, else a copy."""
+    return flatten(params)
 
 
 def flat_to_params(flat: np.ndarray, like: RouterParams) -> RouterParams:
-    out = {}
-    offset = 0
-    for name in PARAM_FIELDS:
-        arr = getattr(like, name)
-        out[name] = flat[offset: offset + arr.size].reshape(arr.shape).copy()
-        offset += arr.size
-    if offset != flat.size:
-        raise ValueError("flat vector size does not match the parameter shapes")
-    return RouterParams(**out)
+    """Parameters shaped like `like` whose tensors are views into `flat`."""
+    return _params_view(flat, like.embed_dim, like.pool_size)
 
 
 def init_state(dim: int) -> np.ndarray:
@@ -330,24 +342,32 @@ def backward_trajectory(forward: ForwardPass, per_step_dz) -> BackwardRows:
     return rows
 
 
-def reduce_gradients(batch, scale: float = 1.0) -> RouterParams:
+def reduce_gradients(batch, scale: float = 1.0,
+                     out: RouterParams | None = None) -> RouterParams:
     """Parameter gradients of a batch of trajectories, times `scale`.
 
     `batch` holds the `BackwardRows` of each trajectory. Their rows are
     stacked, so each weight gradient is one (rows, d)^T @ (rows, d) product
     and each bias gradient one column sum; `scale` (1/B for a batch mean)
-    multiplies the gradient rows before the products.
+    multiplies the gradient rows before the products. The products and
+    sums are written into `out` when it is given, so a training loop can
+    reuse one gradient buffer for every batch; otherwise into new
+    flat-backed parameters. Returns the gradients.
     """
     def stacked(name):
         return np.concatenate([getattr(rows, name) for rows in batch])
 
     x, h_prev, h = stacked("x"), stacked("h_prev"), stacked("h")
     dz, da_c, d_rec, da_u, da_r = (stacked(name) * scale for name in _GRAD_ROWS)
-    grads = RouterParams(
-        w_r=da_r.T @ x, w_u=da_u.T @ x, w_n=da_c.T @ x,
-        u_r=da_r.T @ h_prev, u_u=da_u.T @ h_prev, u_n=d_rec.T @ h_prev,
-        b_r=da_r.sum(axis=0), b_u=da_u.sum(axis=0), b_in=da_c.sum(axis=0),
-        b_hn=d_rec.sum(axis=0), w_out=dz.T @ h, b_out=dz.sum(axis=0))
+    d, n = x.shape[1], dz.shape[1]
+    grads = out if out is not None else _params_view(np.empty(_param_count(d, n)), d, n)
+    for name, rows, inputs in (("w_r", da_r, x), ("w_u", da_u, x), ("w_n", da_c, x),
+                               ("u_r", da_r, h_prev), ("u_u", da_u, h_prev),
+                               ("u_n", d_rec, h_prev), ("w_out", dz, h)):
+        np.matmul(rows.T, inputs, out=getattr(grads, name))
+    for name, rows in (("b_r", da_r), ("b_u", da_u), ("b_in", da_c),
+                       ("b_hn", d_rec), ("b_out", dz)):
+        np.sum(rows, axis=0, out=getattr(grads, name))
     for name, arr in iter_arrays(grads):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite gradient in {name}")
@@ -358,24 +378,26 @@ def reduce_gradients(batch, scale: float = 1.0) -> RouterParams:
 #
 # Binary layout: magic, version u32, embed_dim u32, pool_size u32, seed u64
 # (all little-endian), then each tensor in PARAM_FIELDS order as raw
-# little-endian float64 bytes. Round-trips bitwise.
+# little-endian float64 bytes, which is the flat vector of flat-backed
+# parameters. Round-trips bitwise.
 
 def save_params(path, params: RouterParams, config: RouterConfig) -> None:
+    """Write a snapshot: the header, then the parameters' flat vector in
+    one write straight from its buffer (after a copy only for parameters
+    that are not flat-backed, or on a big-endian host)."""
+    flat = np.ascontiguousarray(params_to_flat(params), dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(_SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<III Q", _SNAPSHOT_VERSION, params.embed_dim,
-                             params.pool_size, config.seed))
-        for name in PARAM_FIELDS:
-            # A no-op for the usual C-contiguous native float64 tensor, which
-            # is then written straight from its buffer.
-            arr = np.ascontiguousarray(getattr(params, name), dtype="<f8")
-            fh.write(arr.data)
+        fh.write(_SNAPSHOT_MAGIC + struct.pack(
+            "<III Q", _SNAPSHOT_VERSION, params.embed_dim, params.pool_size,
+            config.seed))
+        fh.write(flat.data)
 
 
 def load_params(path, config: RouterConfig | None = None):
     """Read a snapshot; returns (params, header) with header keys
     version, embed_dim, pool_size, seed. Checks shape compatibility when a
-    config is given."""
+    config is given. The tensors come in one read, straight into the
+    returned parameters' flat vector."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _SNAPSHOT_MAGIC:
@@ -387,15 +409,13 @@ def load_params(path, config: RouterConfig | None = None):
             raise ValueError(
                 f"{path}: snapshot is ({d}, {n}) but config wants"
                 f" ({config.embed_dim}, {config.pool_size})")
-        tensors = {}
-        for name, shape in _param_shapes(d, n).items():
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{path}: truncated snapshot at tensor {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").astype(
-                np.float64).reshape(shape)
+        flat = np.empty(_param_count(d, n), dtype="<f8")
+        got = fh.readinto(flat)
+        params = _params_view(flat.astype(np.float64, copy=False), d, n)
+        if got != flat.nbytes:
+            raise ValueError(
+                f"{path}: truncated snapshot at tensor {field_at(params, got // 8)}")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")
     header = {"version": version, "embed_dim": d, "pool_size": n, "seed": seed}
-    return RouterParams(**tensors), header
+    return params, header

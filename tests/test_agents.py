@@ -11,8 +11,8 @@ from agentroute import agents
 from agentroute.agents import (CONTINUE, ChatPoolBackend, ChatSummarizer, Final,
                                MockPoolBackend,
                                MockProfile, MockSummarizer, RESPONSES_HEADER,
-                               TOOL_UNAVAILABLE_NOTICE, TOOLS, ToolError,
-                               TransportError, assemble_prompt, calculator_tool,
+                               ToolError, TransportError, assemble_prompt,
+                               calculator_tool,
                                chat_execute, mock_execute, parse_summarizer_reply,
                                solve_mixture_eps, summarize_final, summarizer_decide)
 from agentroute.core import AgentResponse, AgentSpec, ConfigError, Prompt
@@ -67,11 +67,6 @@ def test_prompt_without_tools_skips_tool_block():
 def test_prompt_rejects_unknown_tool():
     with pytest.raises(ConfigError, match="unknown tool"):
         assemble_prompt(_spec(tools=("warp_drive",)), "query", [])
-
-
-def test_stub_tools_return_unavailable_notice():
-    assert TOOLS["search"].run("anything") == TOOL_UNAVAILABLE_NOTICE
-    assert TOOLS["python"].run("print(1)") == TOOL_UNAVAILABLE_NOTICE
 
 
 # --- calculator ---

@@ -205,6 +205,20 @@ def test_train_then_infer_round_trip(tmp_path, capsys):
     assert trace[0].final_answer
 
 
+def test_train_metrics_record_every_epochs_routing_agreement(tmp_path):
+    config = write_config(tmp_path / "run.conf", epochs=3)
+    queries = write_queries(tmp_path / "q.txt", make_queries(["alpha"], 4, seed=3))
+    assert cmd_train(str(config), str(queries)) == 0
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    epochs = [line for line in lines if line.startswith("# epoch=")]
+    assert [line.split()[1] for line in epochs] == ["epoch=1", "epoch=2", "epoch=3"]
+    values = [line.split("routing_agreement=")[1] for line in epochs]
+    assert all(0.0 <= float(value) <= 1.0 for value in values)
+    # the summary line, last, still carries the final epoch's agreement
+    assert lines[-1].startswith("# summary epochs=3 ")
+    assert lines[-1].endswith(f" routing_agreement={values[-1]}")
+
+
 def test_train_rerun_is_byte_identical(tmp_path):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"

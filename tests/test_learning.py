@@ -4,13 +4,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from agentroute import learning
+from agentroute.core import RouterConfig
 from agentroute.learning import (AdamWHyper, adamw_step, clip_gradients,
                                  confidence, get_loss, init_optimizer,
                                  listmle_loss, listmle_loss_grad, mse_loss,
                                  mse_loss_grad, predictive_entropy, ranking_loss,
                                  ranking_loss_grad, total_loss, triplet_loss,
                                  triplet_loss_grad)
-from agentroute.numerics import global_norm
+from agentroute.numerics import global_norm, map_arrays
+from agentroute.router import flat_to_params, init_params, params_to_flat
 
 
 # --- predictive entropy ---
@@ -358,3 +361,47 @@ def test_adamw_creates_moments_on_first_step():
     assert state.first_moment.w.shape == (2,)
     # the update leaves the caller's parameters alone
     np.testing.assert_array_equal(params.w, [0.5, -0.5])
+
+
+def _router_params_and_grads(seed, d=4, n=3):
+    config = RouterConfig(pool_size=n, max_route=2, embed_dim=d, seed=seed)
+    params = init_params(config)
+    rng = np.random.default_rng(seed)
+    size = params_to_flat(params).size
+    # signed magnitudes spread log-uniformly over 1e-8 .. 1e2
+    grads = [flat_to_params(rng.choice([-1.0, 1.0], size=size)
+                            * 10.0 ** rng.uniform(-8.0, 2.0, size=size), params)
+             for _ in range(6)]
+    return params, grads
+
+
+@pytest.mark.parametrize("chunk", [5, 7, 64, 32768])
+def test_adamw_on_flat_params_is_bit_identical_to_the_reference(chunk, monkeypatch):
+    # Chunks of 5 and 7 elements split the weight tensors, and chunk
+    # boundaries fall inside tensors as well as between them.
+    monkeypatch.setattr(learning, "ADAMW_CHUNK", chunk)
+    params, grad_steps = _router_params_and_grads(seed=19)
+    hyper = AdamWHyper(lr=1e-2)
+    state = init_optimizer(params, hyper)
+    ref_params = params
+    ref_moments = tuple(map_arrays(np.zeros_like, params) for _ in range(2))
+    for t, grads in enumerate(grad_steps, start=1):
+        params = adamw_step(params, grads, state)
+        ref_params = _reference_adamw(ref_params, grads, ref_moments, t, hyper)
+        assert params_to_flat(params).tobytes() == params_to_flat(ref_params).tobytes()
+        for moment, ref in zip((state.first_moment, state.second_moment), ref_moments):
+            assert params_to_flat(moment).tobytes() == params_to_flat(ref).tobytes()
+
+
+@pytest.mark.parametrize("name,index", [("b_hn", 1), ("w_r", 0), ("b_out", 2)])
+def test_adamw_names_the_tensor_of_a_non_finite_update(name, index, monkeypatch):
+    # With 7-element chunks the bad b_hn entry (flat index 109) shares its
+    # chunk with the end of b_in; a NaN in a later tensor must not be named.
+    monkeypatch.setattr(learning, "ADAMW_CHUNK", 7)
+    params, (grads, *_) = _router_params_and_grads(seed=23)
+    getattr(grads, name)[index] = np.inf
+    if name != "b_out":
+        grads.b_out[0] = np.nan
+    state = init_optimizer(params, AdamWHyper())
+    with pytest.raises(ValueError, match=f"non-finite optimizer update for {name}$"):
+        adamw_step(params, grads, state)

@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from agentroute import orchestrator
 from agentroute.agents import MockPoolBackend, MockProfile, MockSummarizer, \
     TransportError
 from agentroute.core import AgentSpec, ConfigError, RouterConfig, STEP_LIMIT, \
     SUMMARIZER, trajectory_to_json
 from agentroute.embed import HashEmbedder
+from agentroute.numerics import global_norm
 from agentroute.orchestrator import (OrchestrationError, Runtime,
                                      TrainingSettings, infer, test_time_train,
                                      train)
@@ -281,6 +283,40 @@ def test_training_reduces_ranking_loss_on_separable_pool():
                    TrainingSettings(batch_size=8, epochs=3, lr=5e-3))
     assert report.epoch_losses[-1] < report.epoch_losses[0]
     assert 0.0 <= report.routing_agreement <= 1.0
+
+
+@pytest.mark.parametrize("mode", ["train", "ttt"])
+def test_training_leaves_the_callers_params_intact(mode, monkeypatch):
+    # A tiny clip budget makes every batch's in-place clip fire. The
+    # caller's parameters must keep their bits all the same, so a second run
+    # from them repeats the first, as a benchmark that reuses one set of
+    # parameters for every repetition relies on.
+    fired = []
+    real_clip = orchestrator.clip_gradients
+
+    def spy(grads, clip_norm):
+        fired.append(global_norm(grads) > clip_norm)
+        return real_clip(grads, clip_norm)
+
+    monkeypatch.setattr(orchestrator, "clip_gradients", spy)
+    runtime = _runtime(4, experts={"alpha": (1, 2)})
+    config = _config()
+    queries = make_queries(["alpha"], 12, seed=21)
+    settings = TrainingSettings(batch_size=4, epochs=2, clip_norm=1e-6)
+    params = init_params(config)
+    before = params_to_flat(params).tobytes()
+
+    def run():
+        if mode == "train":
+            return train(runtime, queries, params, config, settings).params
+        return test_time_train(runtime, queries, params, config, settings, 10)[0]
+
+    first = params_to_flat(run()).tobytes()
+    assert params_to_flat(params).tobytes() == before
+    assert params_to_flat(run()).tobytes() == first
+    assert params_to_flat(params).tobytes() == before
+    assert first != before
+    assert fired and all(fired)
 
 
 def test_training_requires_queries_and_matching_pool():

@@ -5,9 +5,10 @@ import pytest
 
 from agentroute.core import RouterConfig, derive_seed
 from agentroute.gradcheck import gradient_check
+from agentroute.learning import AdamWHyper, adamw_step, init_optimizer
 from agentroute.numerics import map_arrays, softmax, softmax_vjp
-from agentroute.router import (RouterParams, adaptive_k, attach_responses,
-                               backward_trajectory, flat_to_params,
+from agentroute.router import (PARAM_FIELDS, RouterParams, adaptive_k,
+                               attach_responses, backward_trajectory, flat_to_params,
                                forward_trajectory, init_params, init_state,
                                keep_top_k, load_params, params_to_flat,
                                reduce_gradients, route_step, save_params,
@@ -534,6 +535,21 @@ def test_snapshot_rejects_garbage(tmp_path):
         load_params(path)
 
 
+def test_snapshot_rejects_truncated_and_trailing_bytes(tmp_path):
+    config = _config(n=3, d=4)
+    path = tmp_path / "p.bin"
+    save_params(path, init_params(config), config)
+    data = path.read_bytes()
+    # 24 header bytes, then w_r..u_n (96 floats), b_r, b_u, b_in, b_hn
+    for cut, name in ((24, "w_r"), (24 + 8 * 109, "b_hn"), (len(data) - 1, "b_out")):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=f"truncated snapshot at tensor {name}$"):
+            load_params(path)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_params(path)
+
+
 def test_flat_round_trip():
     params = _random_params(5, 3, seed=20)
     flat = params_to_flat(params)
@@ -542,3 +558,36 @@ def test_flat_round_trip():
         np.testing.assert_array_equal(getattr(rebuilt, name), getattr(params, name))
     grads = map_arrays(np.zeros_like, params)
     assert params_to_flat(grads).sum() == 0.0
+
+
+def test_reduce_gradients_into_a_reused_buffer_equals_a_fresh_reduction():
+    forwards, upstream = _batch_of_trajectories(5, seed=60)
+    rows = [backward_trajectory(f, dz) for f, dz in zip(forwards, upstream)]
+    buffer = reduce_gradients(rows[:2], scale=0.5)
+    for batch in (rows[2:], rows[:3]):
+        fresh = reduce_gradients(batch, scale=1.0 / len(batch))
+        reused = reduce_gradients(batch, scale=1.0 / len(batch), out=buffer)
+        assert reused is buffer
+        assert params_to_flat(reused).tobytes() == params_to_flat(fresh).tobytes()
+
+
+def test_library_params_are_views_into_one_flat_vector(tmp_path):
+    config = _config(n=6, d=12, seed=97)
+    params = init_params(config)
+    save_params(tmp_path / "p.bin", params, config)
+    loaded, _ = load_params(tmp_path / "p.bin", config)
+    forwards, upstream = _batch_of_trajectories(2, seed=61, n=6, d=12)
+    grads = reduce_gradients([backward_trajectory(f, dz)
+                              for f, dz in zip(forwards, upstream)])
+    rebuilt = flat_to_params(params_to_flat(params).copy(), params)
+    stepped = adamw_step(params, grads, init_optimizer(params, AdamWHyper()))
+    for which in (params, loaded, grads, rebuilt, stepped):
+        flat = params_to_flat(which)
+        for name in PARAM_FIELDS:
+            assert np.shares_memory(flat, getattr(which, name))
+    # Views that do not tile one vector in field order are copied.
+    swapped = RouterParams(**{**params.__dict__, "w_r": params.w_u,
+                              "w_u": params.w_r})
+    flat = params_to_flat(swapped)
+    assert not np.shares_memory(flat, params.w_r)
+    np.testing.assert_array_equal(flat[:144], params.w_u.ravel())
