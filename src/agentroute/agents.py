@@ -14,14 +14,12 @@ from __future__ import annotations
 import functools
 import math
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import AgentResponse, AgentSpec, ConfigError, Prompt
-
-# requests (about 14 MB resident) is imported inside the remote paths only,
-# so runs on mock agents never load it.
 
 # Task tags ride inside the query text, e.g. "[tag:algebra] solve ...".
 TAG_PATTERN = r"\[tag:([^\]]+)\]"
@@ -38,8 +36,73 @@ RESPONSES_HEADER = "Responses from agents:"
 DEFAULT_RESPONSE_TEMPLATE = "agent {agent_id} step {step} [{tag}] finding: {nonce}"
 
 
+# --- remote calls: one JSON POST for chat agents, summarizer and embedder ---
+
 class TransportError(RuntimeError):
-    """A remote agent call failed at the transport level."""
+    """A remote call failed: no connection, an HTTP status other than 200,
+    or a reply that is not the expected JSON."""
+
+
+class HttpSession:
+    """The kept-alive connections of one remote client: a requests.Session,
+    opened by its first post_json call. The pool fans calls out over
+    threads, so the lock keeps racing first calls from opening two."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.session = None
+
+
+def post_json(session, endpoint: str, payload: dict, *, api_key: str | None,
+              timeout: float, what: str, error: type[TransportError]):
+    """POST `payload` as JSON to `endpoint` and return the decoded reply.
+
+    `session` is an HttpSession, any object with requests' `post` (a
+    test's fake), or None for a one-off connection. A failed request, an
+    HTTP status other than 200 or a body that is not JSON raises `error`,
+    with `what` naming the service.
+    """
+    # requests (about 14 MB resident) loads on the first remote call, so
+    # runs on mock agents never load it.
+    import requests
+
+    if isinstance(session, HttpSession):
+        with session.lock:
+            if session.session is None:
+                session.session = requests.Session()
+        session = session.session
+    client = requests if session is None else session
+    headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+    try:
+        resp = client.post(endpoint, json=payload, headers=headers, timeout=timeout)
+    except requests.RequestException as exc:
+        raise error(f"{what} request to {endpoint} failed: {exc}") from exc
+    if resp.status_code != 200:
+        raise error(f"{what} request to {endpoint} failed: HTTP {resp.status_code}")
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise error(f"malformed {what} response from {endpoint}: {exc}") from exc
+
+
+def _chat(session, endpoint: str, model: str, system: str, user: str, *,
+          api_key: str | None, timeout: float, what: str, **options):
+    """One chat-completions exchange: a system and a user message plus
+    `options` go out; the reply, its first choice and that choice's message
+    text come back."""
+    payload = {"model": model, "messages": [{"role": "system", "content": system},
+                                            {"role": "user", "content": user}], **options}
+    data = post_json(session, endpoint, payload, api_key=api_key, timeout=timeout,
+                     what=what, error=TransportError)
+    try:
+        choice = data["choices"][0]
+        text = choice["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise TransportError(f"malformed {what} response from {endpoint}: {exc}") from exc
+    if not isinstance(text, str):
+        raise TransportError(
+            f"malformed {what} response from {endpoint}: message content is not a string")
+    return data, choice, text
 
 
 class ToolError(ValueError):
@@ -437,8 +500,10 @@ def _entropy_from_top_logprobs(top_logprobs) -> float:
     if not np.isfinite(top):  # NaN (a null logprob), +inf, or every entry -inf
         raise ValueError(f"logprobs {lps.tolist()} have no finite maximum")
     # Renormalize the truncated distribution; this under-estimates the true
-    # entropy because the tail mass is folded into the top-j entries.
-    shifted = np.exp(lps - top)
+    # entropy because the tail mass is folded into the top-j entries. A
+    # logprob more than the float range below the top has zero mass.
+    with np.errstate(over="ignore"):
+        shifted = np.exp(lps - top)
     p = shifted / shifted.sum()
     nz = p[p > 0.0]
     return float(-np.sum(nz * np.log(nz)) + 0.0)
@@ -454,48 +519,22 @@ def chat_execute(agent: AgentSpec, prompt: Prompt, endpoint: str, *,
     Responses without logprobs come back with predictive_entropy None;
     those cannot serve as training targets.
     """
-    messages = [{"role": "system", "content": prompt.system_part},
-                {"role": "user",
-                 "content": prompt.context_part or "Provide your response to the query."}]
-    payload = {"model": agent.model_ref, "messages": messages,
-               "logprobs": True, "top_logprobs": top_logprobs,
-               "temperature": temperature}
-    headers = {}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    import requests
-
-    client = session if session is not None else requests
-    try:
-        resp = client.post(endpoint, json=payload, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransportError(f"chat request to {endpoint} failed: {exc}") from exc
-    if resp.status_code != 200:
-        raise TransportError(f"chat request to {endpoint} failed: HTTP {resp.status_code}")
-    try:
-        data = resp.json()
-        choice = data["choices"][0]
-        text = choice["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise TransportError(f"malformed chat response from {endpoint}: {exc}") from exc
-    if not isinstance(text, str):
-        raise TransportError(
-            f"malformed chat response from {endpoint}: message content is not a string")
+    data, choice, text = _chat(
+        session, endpoint, agent.model_ref, prompt.system_part,
+        prompt.context_part or "Provide your response to the query.",
+        api_key=api_key, timeout=timeout, what="chat",
+        logprobs=True, top_logprobs=top_logprobs, temperature=temperature)
     logprobs = choice.get("logprobs") or {}
     if not isinstance(logprobs, dict):
         raise TransportError(
             f"malformed chat response from {endpoint}: logprobs is not an object")
     content = logprobs.get("content")
     if not content:
-        usage = data.get("usage", {})
-        if not isinstance(usage, dict):
-            raise TransportError(
-                f"malformed chat response from {endpoint}: usage is not an object")
         try:
-            token_count = int(usage.get("completion_tokens") or 0)
-        except (TypeError, ValueError, OverflowError) as exc:
+            token_count = int(data.get("usage", {}).get("completion_tokens") or 0)
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise TransportError(
-                f"malformed chat response from {endpoint}: completion_tokens {exc}") from exc
+                f"malformed chat response from {endpoint}: usage {exc!r}") from exc
         if token_count < 1:
             token_count = max(1, len(text.split()))
         return AgentResponse(agent_id=agent.agent_id, step_index=step_index,
@@ -506,7 +545,7 @@ def chat_execute(agent: AgentSpec, prompt: Prompt, endpoint: str, *,
         for token in content:
             tops = token.get("top_logprobs") or [{"logprob": token["logprob"]}]
             entropies.append(_entropy_from_top_logprobs(tops))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TransportError(
             f"malformed logprobs in chat response from {endpoint}: {exc!r}") from exc
     return AgentResponse(agent_id=agent.agent_id, step_index=step_index,
@@ -564,9 +603,7 @@ class ChatPoolBackend:
         self.timeout = timeout
         self.top_logprobs = top_logprobs
         self.temperature = temperature
-        import requests
-
-        self._session = requests.Session()
+        self._session = HttpSession()
 
     @property
     def size(self) -> int:
@@ -649,39 +686,13 @@ class ChatSummarizer:
         self.api_key = api_key
         self.timeout = timeout
         self.temperature = temperature
-        import requests
-
-        self._session = requests.Session()
+        self._session = HttpSession()
 
     def _call(self, system: str, query: str, responses) -> str:
-        payload = {
-            "model": self.model_ref,
-            "messages": [
-                {"role": "system", "content": system},
-                {"role": "user",
-                 "content": f"Query: {query}\n\nCandidate responses:\n{_numbered(responses)}"},
-            ],
-            "temperature": self.temperature,
-        }
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        import requests
-
-        try:
-            resp = self._session.post(self.endpoint, json=payload, headers=headers,
-                                      timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise TransportError(f"summarizer request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"summarizer request failed: HTTP {resp.status_code}")
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed summarizer response: {exc}") from exc
-        if not isinstance(content, str):
-            raise TransportError("malformed summarizer response: content is not a string")
-        return content
+        user = f"Query: {query}\n\nCandidate responses:\n{_numbered(responses)}"
+        return _chat(self._session, self.endpoint, self.model_ref, system, user,
+                     api_key=self.api_key, timeout=self.timeout, what="summarizer",
+                     temperature=self.temperature)[2]
 
     def decide(self, query, responses):
         return parse_summarizer_reply(self._call(self.SYSTEM, query, responses))

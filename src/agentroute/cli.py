@@ -20,7 +20,7 @@ from .agents import ChatPoolBackend, ChatSummarizer, MockPoolBackend, \
     MockSummarizer, MockProfile, TOOLS, TransportError
 from .core import AgentSpec, ConfigError, RouterConfig, read_trace, \
     validate_config, write_trace
-from .embed import HashEmbedder, RemoteEmbedError, RemoteEmbedder
+from .embed import HashEmbedder, RemoteEmbedder
 from .gradcheck import gradient_check
 from .orchestrator import OrchestrationError, Runtime, TrainingSettings, \
     infer, test_time_train, train
@@ -586,8 +586,8 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.config, args.topology, seed=args.seed)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ConfigError, OrchestrationError, TransportError, RemoteEmbedError,
-            ValueError, OSError) as exc:
+    except (ConfigError, OrchestrationError, TransportError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

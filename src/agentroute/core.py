@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -239,15 +239,22 @@ def new_trajectory(query: str) -> Trajectory:
 
 # --- trace serialization (one JSON object per line) ---
 #
-# Floats are written with 17 significant digits, enough to reconstruct the
-# exact float64 on parse, so re-serializing a parsed trace is byte-identical.
+# The record dataclasses are the schema: a record is written as a JSON
+# object of its fields in declaration order, and read back by passing that
+# object to the class, whose __post_init__ validates it. Floats are written
+# with 17 significant digits, enough to reconstruct the exact float64 on
+# parse, so re-serializing a parsed trace is byte-identical.
+
+_TRACE_FIELDS = {cls: tuple(f.name for f in fields(cls))
+                 for cls in (AgentResponse, StepRecord, Trajectory)}
+
 
 def _float_repr(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("refusing to serialize a non-finite float")
     s = format(x, ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
+    if "." not in s and "e" not in s:
         s += ".0"
     return s
 
@@ -263,84 +270,39 @@ def _emit(value) -> str:
         return _float_repr(value)
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, np.ndarray):
-        return _emit(value.tolist())
+    if isinstance(value, np.ndarray):  # StepRecord holds float64 arrays only
+        return "[" + ",".join(map(_float_repr, value.tolist())) + "]"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in value) + "]"
+        return "[" + ",".join(map(_emit, value)) + "]"
     if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in value.items()) + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _response_doc(resp: AgentResponse) -> dict:
-    return {
-        "agent_id": resp.agent_id,
-        "step_index": resp.step_index,
-        "text": resp.text,
-        "token_entropies": [float(e) for e in resp.token_entropies],
-        "token_count": resp.token_count,
-        "predictive_entropy": resp.predictive_entropy,
-    }
-
-
-def _step_doc(step: StepRecord) -> dict:
-    return {
-        "step_index": step.step_index,
-        "logits_z": step.logits_z,
-        "count_probs": step.count_probs,
-        "k": step.k,
-        "selected_ids": list(step.selected_ids),
-        "alpha": step.alpha,
-        "context_X": step.context_X,
-        "entropy_E": step.entropy_E,
-    }
+        # Trajectory.responses: its values, sorted by (step, agent) key.
+        return _emit([value[key] for key in sorted(value)])
+    names = _TRACE_FIELDS.get(type(value))
+    if names is None:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    return "{" + ",".join(f'"{name}":{_emit(getattr(value, name))}' for name in names) + "}"
 
 
 def trajectory_to_json(traj: Trajectory) -> str:
     """Render one trajectory as a single JSON line (no trailing newline)."""
-    doc = {
-        "query": traj.query,
-        "steps": [_step_doc(s) for s in traj.steps],
-        "responses": [_response_doc(traj.responses[key])
-                      for key in sorted(traj.responses)],
-        "final_answer": traj.final_answer,
-        "terminated_by": traj.terminated_by,
-        "total_agent_calls": traj.total_agent_calls,
-        "total_tokens": traj.total_tokens,
-    }
-    return _emit(doc)
+    return _emit(traj)
+
+
+def _record_fields(cls, doc) -> dict:
+    # A trace record carries exactly its class's fields, defaults included.
+    names = _TRACE_FIELDS[cls]
+    if not isinstance(doc, dict) or doc.keys() != set(names):
+        got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+        raise ValueError(f"a {cls.__name__} record needs the keys {list(names)}, not {got}")
+    return doc
 
 
 def trajectory_from_json(line: str) -> Trajectory:
-    doc = json.loads(line)
-    traj = Trajectory(query=doc["query"])
-    for sdoc in doc["steps"]:
-        traj.steps.append(StepRecord(
-            step_index=sdoc["step_index"],
-            logits_z=np.asarray(sdoc["logits_z"], dtype=np.float64),
-            count_probs=np.asarray(sdoc["count_probs"], dtype=np.float64),
-            k=sdoc["k"],
-            selected_ids=tuple(sdoc["selected_ids"]),
-            alpha=np.asarray(sdoc["alpha"], dtype=np.float64),
-            context_X=np.asarray(sdoc["context_X"], dtype=np.float64),
-            entropy_E=None if sdoc["entropy_E"] is None
-            else np.asarray(sdoc["entropy_E"], dtype=np.float64),
-        ))
-    for rdoc in doc["responses"]:
-        resp = AgentResponse(
-            agent_id=rdoc["agent_id"],
-            step_index=rdoc["step_index"],
-            text=rdoc["text"],
-            token_entropies=tuple(rdoc["token_entropies"]),
-            token_count=rdoc["token_count"],
-            predictive_entropy=rdoc["predictive_entropy"],
-        )
-        traj.responses[(resp.step_index, resp.agent_id)] = resp
-    traj.final_answer = doc["final_answer"]
-    traj.terminated_by = doc["terminated_by"]
-    traj.total_agent_calls = doc["total_agent_calls"]
-    traj.total_tokens = doc["total_tokens"]
-    return traj
+    doc = _record_fields(Trajectory, json.loads(line))
+    doc["steps"] = [StepRecord(**_record_fields(StepRecord, s)) for s in doc["steps"]]
+    responses = [AgentResponse(**_record_fields(AgentResponse, r)) for r in doc["responses"]]
+    doc["responses"] = {(r.step_index, r.agent_id): r for r in responses}
+    return Trajectory(**doc)
 
 
 def write_trace(path, trajectories) -> None:
@@ -351,10 +313,16 @@ def write_trace(path, trajectories) -> None:
 
 
 def read_trace(path) -> list[Trajectory]:
+    """Read a JSONL trace; a line that is not a trajectory raises ValueError
+    naming its line number."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(trajectory_from_json(line))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}, line {number}: not a trajectory: {exc}") from exc
     return out

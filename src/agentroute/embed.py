@@ -12,13 +12,15 @@ import re
 
 import numpy as np
 
+from .agents import HttpSession, TransportError, post_json
+
 _TOKEN = re.compile(r"[a-z0-9]+")
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-class RemoteEmbedError(RuntimeError):
+class RemoteEmbedError(TransportError):
     """The remote embedding service failed or returned a bad vector."""
 
 
@@ -67,28 +69,13 @@ def remote_embed(text: str, endpoint: str, dim: int, *, api_key: str | None = No
 
     The returned vector must have exactly `dim` finite entries.
     """
-    headers = {}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    import requests  # imported here so hash-embedding runs never load it
-
-    client = session if session is not None else requests
+    data = post_json(session, endpoint, {"input": text}, api_key=api_key,
+                     timeout=timeout, what="embedding", error=RemoteEmbedError)
     try:
-        resp = client.post(endpoint, json={"input": text}, headers=headers,
-                           timeout=timeout)
-    except requests.RequestException as exc:
-        raise RemoteEmbedError(f"embedding request to {endpoint} failed: {exc}") from exc
-    if resp.status_code != 200:
+        vec = np.asarray(data["embedding"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RemoteEmbedError(
-            f"embedding request to {endpoint} failed: HTTP {resp.status_code}")
-    try:
-        values = resp.json()["embedding"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise RemoteEmbedError("embedding response missing 'embedding' field") from exc
-    try:
-        vec = np.asarray(values, dtype=np.float64)
-    except (ValueError, TypeError) as exc:
-        raise RemoteEmbedError(f"embedding entries are not numbers: {exc}") from exc
+            f"malformed embedding response from {endpoint}: {exc!r}") from exc
     if vec.ndim != 1 or vec.shape[0] != dim:
         raise RemoteEmbedError(
             f"embedding dimension mismatch: expected {dim}, received {vec.size}")
@@ -120,9 +107,7 @@ class RemoteEmbedder:
         self.api_key = api_key
         self.max_chars = max_chars
         self.timeout = timeout
-        import requests
-
-        self._session = requests.Session()
+        self._session = HttpSession()
 
     def __call__(self, text: str) -> np.ndarray:
         if self.max_chars > 0:

@@ -179,7 +179,6 @@ class AdamWHyper:
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.01
-    clip_norm: float = 1.0
 
 
 # Elements per pass of the AdamW update: the chunk's slices of the six

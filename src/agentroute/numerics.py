@@ -47,10 +47,6 @@ def iter_arrays(container):
         yield f.name, getattr(container, f.name)
 
 
-def map_arrays(fn, container):
-    return type(container)(**{name: fn(arr) for name, arr in iter_arrays(container)})
-
-
 def flatten(container) -> np.ndarray:
     """The container's arrays as one float64 vector in field order.
 

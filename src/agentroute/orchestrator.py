@@ -72,8 +72,7 @@ class TrainingSettings:
 
     def adamw(self) -> AdamWHyper:
         return AdamWHyper(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                          epsilon=self.epsilon, weight_decay=self.weight_decay,
-                          clip_norm=self.clip_norm)
+                          epsilon=self.epsilon, weight_decay=self.weight_decay)
 
 
 @dataclass

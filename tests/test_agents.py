@@ -2,10 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from agentroute import agents
 from agentroute.agents import (CONTINUE, ChatPoolBackend, ChatSummarizer, Final,
@@ -16,6 +20,7 @@ from agentroute.agents import (CONTINUE, ChatPoolBackend, ChatSummarizer, Final,
                                chat_execute, mock_execute, parse_summarizer_reply,
                                solve_mixture_eps, summarize_final, summarizer_decide)
 from agentroute.core import AgentResponse, AgentSpec, ConfigError, Prompt
+from agentroute.embed import remote_embed
 
 
 def _spec(agent_id=0, tools=("calculator",)):
@@ -622,6 +627,7 @@ def test_chat_http_error(http_server):
     {"token": "a", "logprob": None},
     {"token": "a", "top_logprobs": [{"token": "a", "logprob": "high"}]},
     "a",
+    {"token": "a", "logprob": 10 ** 400},  # an integer no float64 holds
 ])
 def test_chat_malformed_logprob_entry_is_transport_error(http_server, token):
     url = http_server(lambda p, b, h: (200, _chat_payload("a", [token])))
@@ -674,6 +680,108 @@ def test_chat_malformed_payload_is_transport_error(http_server, payload):
         chat_execute(_spec(), Prompt("s"), url)
 
 
+# --- random reply bodies ---
+#
+# Any JSON value may stand at any point of a reply, including the NaN and
+# infinities Python's json module parses and integers no float64 holds.
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=5)
+    | st.integers() | st.sampled_from([10 ** 400, -10 ** 400]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8)
+
+
+def _or_junk(valid):
+    """`valid` three times in four, else any JSON value in its place."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else _json)
+
+
+def _shaped(optional=None, **fields):
+    """An object with these fields and perhaps the optional ones, or junk."""
+    return _or_junk(st.fixed_dictionaries(fields, optional=optional or {}))
+
+
+def _list(item):
+    return _or_junk(st.lists(item, min_size=1, max_size=3))
+
+
+_number = _or_junk(st.sampled_from([0.0, -1e308, 1e308, 10 ** 400]) | st.floats())
+
+
+_chat_reply = _shaped(
+    choices=_list(_shaped(
+        message=_shaped(content=_or_junk(st.text())),
+        optional={"logprobs": _shaped(content=_list(_shaped(
+            logprob=_number, optional={"top_logprobs": _list(_shaped(logprob=_number))})))})),
+    optional={"usage": _shaped(completion_tokens=_number)})
+
+
+class _FakeSession:
+    """Answers every POST with status 200 and a fixed decoded body."""
+
+    status_code = 200
+
+    def __init__(self, body):
+        self.body = body
+
+    def post(self, url, json, headers, timeout):
+        return self
+
+    def json(self):
+        return self.body
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_chat_reply)
+@example({"choices": [{"message": {"content": "a"}, "logprobs": {"content": [
+    {"top_logprobs": [{"logprob": 1e308}, {"logprob": -1e308}]}]}}]})
+def test_chat_reply_of_any_shape_is_a_response_or_transport_error(body):
+    try:
+        resp = chat_execute(_spec(), Prompt("s"), "fake", session=_FakeSession(body))
+    except TransportError:
+        return
+    assert isinstance(resp, AgentResponse)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_shaped(choices=_list(_shaped(message=_shaped(content=_or_junk(st.text()))))))
+def test_summarizer_reply_of_any_shape_is_a_decision_or_transport_error(body):
+    summarizer = ChatSummarizer("fake")
+    summarizer._session = _FakeSession(body)
+    try:
+        decision = summarizer.decide("q", [_resp(0, 1, "t")])
+    except TransportError:
+        return
+    assert decision is CONTINUE or isinstance(decision, Final)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_shaped(embedding=_or_junk(st.lists(_number, min_size=2, max_size=2))))
+def test_embedding_reply_of_any_shape_is_a_vector_or_transport_error(body):
+    try:
+        vec = remote_embed("text", "fake", 2, session=_FakeSession(body))
+    except TransportError:
+        return
+    assert vec.shape == (2,) and np.isfinite(vec).all()
+
+
+class _NotJson(_FakeSession):
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
+def test_reply_that_is_not_json_is_a_typed_error():
+    summarizer = ChatSummarizer("fake")
+    summarizer._session = _NotJson(None)
+    for call in (lambda: chat_execute(_spec(), Prompt("s"), "fake", session=_NotJson(None)),
+                 lambda: summarizer.finalize("q", [_resp(0, 1, "t")]),
+                 lambda: remote_embed("text", "fake", 2, session=_NotJson(None))):
+        with pytest.raises(TransportError, match="malformed .* response from fake"):
+            call()
+
+
 def test_chat_pool_backend_round_trip(http_server):
     tokens = [{"token": "a", "logprob": 0.0,
                "top_logprobs": [{"token": "a", "logprob": 0.0}]}]
@@ -684,6 +792,38 @@ def test_chat_pool_backend_round_trip(http_server):
     assert resp.agent_id == 1
     assert resp.step_index == 2
     assert resp.text == "pooled"
+
+
+def test_racing_first_calls_open_one_session(http_server, monkeypatch):
+    import requests
+
+    opened = []
+
+    class SlowCountingSession(requests.Session):
+        def __init__(self):
+            super().__init__()
+            time.sleep(0.01)  # widens the window a racing call could slip into
+            opened.append(self)
+
+    monkeypatch.setattr(requests, "Session", SlowCountingSession)
+    tokens = [{"token": "a", "logprob": 0.0}]
+    url = http_server(lambda p, b, h: (200, _chat_payload("a", tokens)))
+    backend = ChatPoolBackend([_spec(a) for a in range(8)], url)
+    start = threading.Barrier(8, timeout=30)
+
+    def first_call(agent_id):
+        start.wait()
+        return backend.execute(agent_id, Prompt("s"), 1, 0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            replies = list(pool.map(first_call, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.agent_id for r in replies] == list(range(8))
+    assert len(opened) == 1
 
 
 # --- summarizer ---

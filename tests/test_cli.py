@@ -11,8 +11,7 @@ from agentroute.cli import (build_runtime, cmd_gradcheck, cmd_infer, cmd_simulat
                             verify_topology_trace)
 from agentroute.core import ConfigError, read_trace, RouterConfig
 from agentroute.embed import HashEmbedder
-from agentroute.numerics import map_arrays
-from agentroute.router import init_params, save_params
+from agentroute.router import flat_to_params, init_params, params_to_flat, save_params
 from agentroute.synthetic import make_queries
 
 
@@ -270,7 +269,8 @@ def test_infer_with_zero_params_reaches_dense_limit(tmp_path):
     # zero parameters give uniform logits, so k hits max_route = pool_size
     config_obj = RouterConfig(pool_size=4, max_route=4, temperature=0.1,
                               embed_dim=16, max_steps=2, train_steps=2, seed=7)
-    zeros = map_arrays(np.zeros_like, init_params(config_obj))
+    params = init_params(config_obj)
+    zeros = flat_to_params(np.zeros_like(params_to_flat(params)), params)
     snapshot = tmp_path / "zeros.bin"
     save_params(snapshot, zeros, config_obj)
     config = write_config(tmp_path / "run.conf", pool_size=4, max_route=4,

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agentroute.core import (AgentResponse, ConfigError, RouterConfig, StepRecord,
-                             SUMMARIZER, Trajectory, derive_seed, new_trajectory,
+                             STEP_LIMIT, SUMMARIZER, Trajectory, derive_seed, new_trajectory,
                              read_trace, trajectory_from_json, trajectory_to_json,
                              validate_config, write_trace, _float_repr)
 
@@ -170,6 +173,71 @@ def test_trace_file_round_trip(tmp_path):
     assert len(lines) == 2
     rebuilt = read_trace(path)
     assert [trajectory_to_json(t) for t in rebuilt] == lines
+
+
+def _broken_trajectory_line(how):
+    doc = json.loads(trajectory_to_json(_full_trajectory()))
+    if how == "missing key":
+        del doc["steps"][1]["entropy_E"]  # a field with a default
+    elif how == "unknown key":
+        doc["responses"][0]["latency_ms"] = 3.0
+    else:
+        doc = [doc]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("how", ["missing key", "unknown key", "not an object"])
+def test_read_trace_names_the_line_that_is_not_a_trajectory(tmp_path, how):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(trajectory_to_json(_full_trajectory()) + "\n"
+                    + _broken_trajectory_line(how) + "\n")
+    with pytest.raises(ValueError, match="line 2: not a trajectory"):
+        read_trace(path)
+
+
+# Finite doubles, weighted toward the edge cases: the smallest subnormal,
+# negative zero, the smallest normal and the largest magnitudes.
+_EDGE_FLOATS = (5e-324, -5e-324, -0.0, 1e308, -1e308, 2.2250738585072014e-308)
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _trajectories(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    vector = st.lists(_floats, min_size=n, max_size=n)
+    traj = Trajectory(query=draw(st.text(min_size=1)))
+    for step in range(1, draw(st.integers(0, 3)) + 1):
+        k = draw(st.integers(1, n))
+        weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+        traj.steps.append(StepRecord(
+            step_index=step, logits_z=draw(vector), count_probs=draw(vector), k=k,
+            selected_ids=tuple(draw(st.permutations(range(n)))[:k]),
+            alpha=weights / weights.sum(),
+            context_X=draw(st.lists(_floats, min_size=d, max_size=d)),
+            entropy_E=draw(st.none() | vector)))
+        for agent in draw(st.sets(st.integers(0, n - 1))):
+            # Bounded so the mean of up to five entropies stays finite.
+            entropies = draw(st.lists(st.floats(0.0, 1e307), max_size=5))
+            traj.responses[(step, agent)] = AgentResponse(
+                agent_id=agent, step_index=step, text=draw(st.text()),
+                token_entropies=tuple(entropies),
+                token_count=len(entropies) or draw(st.integers(1, 2 ** 40)),
+                predictive_entropy=(sum(entropies) / len(entropies) if entropies
+                                    else draw(st.none() | st.floats(0.0, 1e308))))
+    traj.final_answer = draw(st.none() | st.text())
+    traj.terminated_by = draw(st.none() | st.sampled_from([SUMMARIZER, STEP_LIMIT]))
+    traj.total_agent_calls = draw(st.integers(0, 2 ** 40))
+    traj.total_tokens = draw(st.integers(0, 2 ** 62))
+    return traj
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_trajectories())
+def test_trace_bytes_round_trip_for_random_trajectories(traj):
+    line = trajectory_to_json(traj)
+    assert trajectory_to_json(trajectory_from_json(line)) == line
 
 
 def test_float_rendering_keeps_doubles_exact():

@@ -100,7 +100,9 @@ def test_remote_embed_rejects_non_finite_entries(http_server):
     None,
     {"embedding": ["a", "b"]},
     {"embedding": [{}, {"x": 1}]},
-], ids=["list body", "null body", "string entries", "object entries"])
+    {"embedding": [10 ** 400, 0.0]},
+], ids=["list body", "null body", "string entries", "object entries",
+        "integer no float64 holds"])
 def test_remote_embed_malformed_body_is_typed(http_server, body):
     url = http_server(lambda path, b, headers: (200, body))
     with pytest.raises(RemoteEmbedError):

@@ -12,7 +12,7 @@ from agentroute.learning import (AdamWHyper, adamw_step, clip_gradients,
                                  mse_loss_grad, predictive_entropy, ranking_loss,
                                  ranking_loss_grad, total_loss, triplet_loss,
                                  triplet_loss_grad)
-from agentroute.numerics import global_norm, map_arrays
+from agentroute.numerics import global_norm
 from agentroute.router import flat_to_params, init_params, params_to_flat
 
 
@@ -384,7 +384,8 @@ def test_adamw_on_flat_params_is_bit_identical_to_the_reference(chunk, monkeypat
     hyper = AdamWHyper(lr=1e-2)
     state = init_optimizer(params, hyper)
     ref_params = params
-    ref_moments = tuple(map_arrays(np.zeros_like, params) for _ in range(2))
+    ref_moments = tuple(flat_to_params(np.zeros_like(params_to_flat(params)), params)
+                        for _ in range(2))
     for t, grads in enumerate(grad_steps, start=1):
         params = adamw_step(params, grads, state)
         ref_params = _reference_adamw(ref_params, grads, ref_moments, t, hyper)

@@ -8,7 +8,7 @@ from agentroute.agents import MockPoolBackend, MockProfile, MockSummarizer, \
     TransportError
 from agentroute.core import AgentSpec, ConfigError, RouterConfig, STEP_LIMIT, \
     SUMMARIZER, trajectory_to_json
-from agentroute.embed import HashEmbedder
+from agentroute.embed import HashEmbedder, RemoteEmbedError
 from agentroute.numerics import global_norm
 from agentroute.orchestrator import (OrchestrationError, Runtime,
                                      TrainingSettings, infer, test_time_train,
@@ -334,6 +334,22 @@ def test_training_names_the_query_an_agent_failed_in():
     config = _config()
     with pytest.raises(OrchestrationError,
                        match="training query 3 failed: agent 2 unreachable"):
+        train(runtime, queries, init_params(config), config,
+              TrainingSettings(batch_size=2, epochs=1))
+
+
+def test_training_names_the_query_the_embedder_failed_in():
+    base = _runtime(4)
+
+    def embed(text):
+        if "three" in text:
+            raise RemoteEmbedError("embedding request to e failed: HTTP 503")
+        return base.embed(text)
+
+    runtime = replace(base, embed=embed)
+    queries = [f"[tag:x] query {name}" for name in ("one", "two", "three")]
+    config = _config()
+    with pytest.raises(OrchestrationError, match="training query 2 failed: .*HTTP 503"):
         train(runtime, queries, init_params(config), config,
               TrainingSettings(batch_size=2, epochs=1))
 

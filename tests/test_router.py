@@ -6,7 +6,7 @@ import pytest
 from agentroute.core import RouterConfig, derive_seed
 from agentroute.gradcheck import gradient_check
 from agentroute.learning import AdamWHyper, adamw_step, init_optimizer
-from agentroute.numerics import map_arrays, softmax, softmax_vjp
+from agentroute.numerics import softmax, softmax_vjp
 from agentroute.router import (PARAM_FIELDS, RouterParams, adaptive_k,
                                attach_responses, backward_trajectory, flat_to_params,
                                forward_trajectory, init_params, init_state,
@@ -366,7 +366,7 @@ def _outer_product_backward(forward, per_step_dz):
     accumulated in place."""
     params, steps = forward.params, forward.steps
     n, d = params.pool_size, params.embed_dim
-    grads = map_arrays(np.zeros_like, params)
+    grads = flat_to_params(np.zeros_like(params_to_flat(params)), params)
     dh_carry = np.zeros(d)
     dz_from_alpha = [np.zeros(n) for _ in steps]
     for i in reversed(range(len(steps))):
@@ -410,7 +410,8 @@ def _batch_of_trajectories(size, seed, n=6, d=10, k=4):
     """Forward passes of `size` random queries through shared parameters,
     with 1 to 3 steps each, and their per-step logit gradients."""
     # Small weights keep the logits close, so k varies between steps.
-    params = map_arrays(lambda arr: 0.2 * arr, _random_params(d, n, seed))
+    params = _random_params(d, n, seed)
+    params = flat_to_params(0.2 * params_to_flat(params), params)
     rng = np.random.default_rng(seed + 1)
     forwards, upstream = [], []
     for index in range(size):
@@ -444,12 +445,13 @@ def test_batched_gradient_matches_mean_of_per_query_gradients(batch_size):
         assert len({step.k for forward in forwards for step in forward.steps}) > 1
     rows = [backward_trajectory(f, dz) for f, dz in zip(forwards, upstream)]
     batched = reduce_gradients(rows, scale=1.0 / batch_size)
-    expected = map_arrays(np.zeros_like, forwards[0].params)
+    expected = flat_to_params(np.zeros_like(params_to_flat(forwards[0].params)),
+                              forwards[0].params)
     for forward, dz in zip(forwards, upstream):
         reference = _outer_product_backward(forward, dz)
         for name in expected.__dataclass_fields__:
             getattr(expected, name)[...] += getattr(reference, name)
-    expected = map_arrays(lambda arr: arr / batch_size, expected)
+    expected = flat_to_params(params_to_flat(expected) / batch_size, expected)
     _assert_grads_close(batched, expected)
 
 
@@ -556,7 +558,7 @@ def test_flat_round_trip():
     rebuilt = flat_to_params(flat, params)
     for name in params.__dataclass_fields__:
         np.testing.assert_array_equal(getattr(rebuilt, name), getattr(params, name))
-    grads = map_arrays(np.zeros_like, params)
+    grads = flat_to_params(np.zeros_like(params_to_flat(params)), params)
     assert params_to_flat(grads).sum() == 0.0
 
 
