@@ -85,6 +85,19 @@ def post_json(session, endpoint: str, payload: dict, *, api_key: str | None,
         raise error(f"malformed {what} response from {endpoint}: {exc}") from exc
 
 
+def json_floats(values) -> np.ndarray:
+    """A decoded JSON array of numbers as a float64 vector. Anything else
+    raises TypeError, including the strings, booleans and nulls that numpy
+    would read as numbers or NaN ("-0.5", true, null); an integer no
+    float64 holds raises OverflowError."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a JSON array of numbers, got {type(values).__name__}")
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{value!r} is not a JSON number")
+    return np.asarray(values, dtype=np.float64)
+
+
 def _chat(session, endpoint: str, model: str, system: str, user: str, *,
           api_key: str | None, timeout: float, what: str, **options):
     """One chat-completions exchange: a system and a user message plus
@@ -240,13 +253,14 @@ class MockProfile:
     the token entropy hits the (possibly jittered) target; the map from
     blend to entropy is monotone on [0, ln vocab_size], so any target in
     that range is reachable by bisection. A zero-jitter target is a
-    constant, so its blend is solved once per (target, vocab_size) and
-    memoised; jittered targets are drawn and solved afresh on every call
-    and bypass the memo. That solve is cheap all the same: it reads the
-    first 16 bisection levels from a per-vocab entropy table, built on
-    first use, and predicts the path of the next 32 with two Newton steps,
-    checked at its own midpoints, bit for bit as the plain loop (see
-    solve_mixture_eps).
+    constant, so its whole per-token entropy row (one entry per top
+    symbol) is computed once per (target, vocab_size) and memoised, and a
+    call gathers it by its drawn top symbols; jittered targets are drawn
+    and solved afresh on every call and bypass the memo. That solve is
+    cheap all the same: it reads the first 16 bisection levels from a
+    per-vocab entropy table, built on first use, and predicts the path of
+    the next 32 with two Newton steps, checked at its own midpoints, bit
+    for bit as the plain loop (see solve_mixture_eps).
     """
 
     agent_id: int
@@ -448,11 +462,35 @@ def _snap_endpoints(eps, t, limit):
     return eps
 
 
+def _token_entropies(eps, top_symbol, vocab_size: int) -> np.ndarray:
+    """Entropy of each token's mixture (1 - eps) * point_mass(top_symbol) +
+    eps * uniform(vocab_size), one row of the (tokens, vocab) matrix each."""
+    count = eps.shape[0]
+    dists = np.repeat((eps / vocab_size)[:, None], vocab_size, axis=1)
+    dists[np.arange(count), top_symbol] += 1.0 - eps
+    return -_xlogx(dists).sum(axis=1) + 0.0
+
+
+_ROW_CHUNK = 1 << 16  # matrix entries per _token_entropies call in a row build
+
+
 @functools.lru_cache(maxsize=1024)
-def _constant_target_eps(target: float, vocab_size: int) -> float:
-    # Zero-jitter targets are profile constants, so their solve repeats on
-    # every call; jittered targets are fresh per call and never come here.
-    return float(solve_mixture_eps(target, vocab_size)[0])
+def _constant_target_row(target: float, vocab_size: int) -> np.ndarray:
+    """Per-token entropies of a zero-jitter target: entry s is the entropy
+    of a token whose top symbol is s. Zero-jitter targets are profile
+    constants, so their solve and entropies repeat on every call;
+    jittered targets are fresh per call and never come here. Built in
+    chunks of rows so a large vocabulary never needs a (vocab, vocab)
+    matrix; read-only, as every caller shares it."""
+    eps = solve_mixture_eps(target, vocab_size)[0]
+    rows = max(1, _ROW_CHUNK // vocab_size)
+    row = np.empty(vocab_size)
+    for start in range(0, vocab_size, rows):
+        symbols = np.arange(start, min(start + rows, vocab_size))
+        row[start:start + rows] = _token_entropies(
+            np.full(symbols.size, eps), symbols, vocab_size)
+    row.flags.writeable = False
+    return row
 
 
 def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
@@ -473,12 +511,10 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
         targets = np.clip(target + jitter * rng.standard_normal(count),
                           0.0, math.log(vocab))
         eps = solve_mixture_eps(targets, vocab)
+        entropies = _token_entropies(eps, rng.integers(0, vocab, size=count), vocab)
     else:
-        eps = np.full(count, _constant_target_eps(float(target), vocab))
-    top_symbol = rng.integers(0, vocab, size=count)
-    dists = np.repeat((eps / vocab)[:, None], vocab, axis=1)
-    dists[np.arange(count), top_symbol] += 1.0 - eps
-    entropies = -_xlogx(dists).sum(axis=1) + 0.0
+        entropies = _constant_target_row(float(target), vocab)[
+            rng.integers(0, vocab, size=count)]
     nonce = rng.bytes(4).hex()
     text = profile.response_template.format(
         agent_id=profile.agent_id, step=step_index, tag=task_tag, nonce=nonce)
@@ -486,7 +522,7 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
         agent_id=profile.agent_id,
         step_index=step_index,
         text=text,
-        token_entropies=tuple(float(e) for e in entropies),
+        token_entropies=tuple(entropies.tolist()),
         token_count=count,
         predictive_entropy=float(np.mean(entropies)),
     )
@@ -495,7 +531,9 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
 # --- remote chat agents ---
 
 def _entropy_from_top_logprobs(top_logprobs) -> float:
-    lps = np.asarray([entry["logprob"] for entry in top_logprobs], dtype=np.float64)
+    lps = json_floats([entry["logprob"] for entry in top_logprobs])
+    if (lps > 0.0).any():
+        raise ValueError(f"logprob {lps[lps > 0.0][0]} is a probability above 1")
     top = np.max(lps)
     if not np.isfinite(top):  # NaN (a null logprob), +inf, or every entry -inf
         raise ValueError(f"logprobs {lps.tolist()} have no finite maximum")

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .agents import HttpSession, TransportError, post_json
+from .agents import HttpSession, TransportError, json_floats, post_json
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 _MASK64 = (1 << 64) - 1
@@ -67,16 +67,17 @@ def remote_embed(text: str, endpoint: str, dim: int, *, api_key: str | None = No
                  timeout: float = 30.0, session=None) -> np.ndarray:
     """POST {"input": text} to `endpoint`, expect {"embedding": [floats]}.
 
-    The returned vector must have exactly `dim` finite entries.
+    The returned vector must have exactly `dim` finite entries, each a
+    JSON number: strings, booleans and nulls are malformed.
     """
     data = post_json(session, endpoint, {"input": text}, api_key=api_key,
                      timeout=timeout, what="embedding", error=RemoteEmbedError)
     try:
-        vec = np.asarray(data["embedding"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        vec = json_floats(data["embedding"])
+    except (KeyError, TypeError, OverflowError) as exc:
         raise RemoteEmbedError(
             f"malformed embedding response from {endpoint}: {exc!r}") from exc
-    if vec.ndim != 1 or vec.shape[0] != dim:
+    if vec.shape[0] != dim:
         raise RemoteEmbedError(
             f"embedding dimension mismatch: expected {dim}, received {vec.size}")
     if not np.all(np.isfinite(vec)):

@@ -18,6 +18,11 @@ Conventions, pinned so the finite-difference oracle is unambiguous:
   h' = (1 - u) * c + u * h
 The cell output equals the new hidden state. Ties in top-k selection break
 by ascending agent index.
+
+Two shortcuts skip work whose result is known, with the same bits: from
+the all-zero state (step 1 of every query) the three recurrent products
+u_* h are left out, since each would be the +0.0 vector, and BPTT stops at
+h0, never forming the gradient of the constant initial state.
 """
 
 from __future__ import annotations
@@ -121,9 +126,17 @@ def init_state(dim: int) -> np.ndarray:
 
 
 def _gru_forward(x, h_prev, params):
-    r = sigmoid(params.w_r @ x + params.u_r @ h_prev + params.b_r)
-    u = sigmoid(params.w_u @ x + params.u_u @ h_prev + params.b_u)
-    rec = params.u_n @ h_prev + params.b_hn
+    if h_prev.any():
+        r = sigmoid(params.w_r @ x + params.u_r @ h_prev + params.b_r)
+        u = sigmoid(params.w_u @ x + params.u_u @ h_prev + params.b_u)
+        rec = params.u_n @ h_prev + params.b_hn
+    else:
+        # From the zero state each recurrent product is the +0.0 vector, so
+        # the scalar 0.0 takes its place with the same bits (a -0.0 bias
+        # still comes out +0.0). Non-finite U entries then go unseen here.
+        r = sigmoid(params.w_r @ x + 0.0 + params.b_r)
+        u = sigmoid(params.w_u @ x + 0.0 + params.b_u)
+        rec = 0.0 + params.b_hn
     c = np.tanh(params.w_n @ x + params.b_in + r * rec)
     h = (1.0 - u) * c + u * h_prev
     return r, u, rec, c, h
@@ -287,7 +300,9 @@ def backward_trajectory(forward: ForwardPass, per_step_dz) -> BackwardRows:
     through the aggregation weights of the previous step (whose softmax
     feeds the current context vector). The first path is returned as
     per-step rows; `reduce_gradients` turns the rows of one trajectory, or
-    of a whole batch, into parameter gradients.
+    of a whole batch, into parameter gradients. BPTT stops at h0: the
+    initial state is a constant, so the first step's hidden-state gradient
+    (three (d, d)^T products) is never computed.
     """
     params = forward.params
     steps = forward.steps
@@ -313,19 +328,17 @@ def backward_trajectory(forward: ForwardPass, per_step_dz) -> BackwardRows:
         # GRU cell backward.
         dc = dh * (1.0 - st.u)
         du = dh * (st.h_prev - st.c)
-        dh_prev = dh * st.u
         da_c = dc * (1.0 - st.c ** 2)
         dr = da_c * st.rec
         d_rec = da_c * st.r
-        dh_prev = dh_prev + params.u_n.T @ d_rec
         da_u = du * st.u * (1.0 - st.u)
-        dh_prev = dh_prev + params.u_u.T @ da_u
         da_r = dr * st.r * (1.0 - st.r)
-        dh_prev = dh_prev + params.u_r.T @ da_r
         rows.dz[i], rows.da_c[i], rows.d_rec[i] = dz, da_c, d_rec
         rows.da_u[i], rows.da_r[i] = da_u, da_r
-        dh_carry = dh_prev
         if i > 0:
+            # Step 1's dh_prev would be the gradient of the constant h0.
+            dh_carry = (dh * st.u + params.u_n.T @ d_rec + params.u_u.T @ da_u
+                        + params.u_r.T @ da_r)
             # x_i came from the previous step's weighted aggregation; push
             # the context gradient through alpha's softmax into z_{i-1}.
             prev = steps[i - 1]

@@ -35,7 +35,10 @@ def http_server():
     def start(respond):
         handler = type("Handler", (_Handler,), {"respond": staticmethod(respond)})
         server = HTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever's next poll; at the default
+        # 0.5 s interval that wait dominated each test's run time.
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.01}, daemon=True)
         thread.start()
         servers.append((server, thread))
         return f"http://127.0.0.1:{server.server_port}"

@@ -449,8 +449,54 @@ def test_mock_jittered_responses_match_reference_solver(monkeypatch):
     assert fast == slow
 
 
+def _reference_mock_entropies(profile, seed):
+    """The mock computation without any memo: eps solved on every call,
+    then the (tokens, vocab) matrix and x log x. Returns
+    (token_entropies, predictive_entropy) as mock_execute does."""
+    target, jitter = profile.skill_map["default"]
+    rng = np.random.default_rng(seed)
+    count, vocab = profile.tokens_per_response, profile.vocab_size
+    if jitter > 0.0:
+        targets = np.clip(target + jitter * rng.standard_normal(count),
+                          0.0, math.log(vocab))
+    else:
+        targets = np.full(count, float(target))
+    eps = solve_mixture_eps(targets, vocab)
+    top_symbol = rng.integers(0, vocab, size=count)
+    dists = np.repeat((eps / vocab)[:, None], vocab, axis=1)
+    dists[np.arange(count), top_symbol] += 1.0 - eps
+    entropies = -agents._xlogx(dists).sum(axis=1) + 0.0
+    return tuple(float(e) for e in entropies), float(np.mean(entropies))
+
+
+def _reference_row(target, vocab):
+    # Row s of one (vocab, vocab) matrix holds a token whose top symbol is s.
+    eps = _reference_solve_mixture_eps(target, vocab)[0]
+    dists = np.full((vocab, vocab), eps / vocab)
+    dists[np.arange(vocab), np.arange(vocab)] += 1.0 - eps
+    return -agents._xlogx(dists).sum(axis=1) + 0.0
+
+
+def _bytes(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("vocab", [2, 3, 7, 8, 9, 16, 17, 50, 130])
+def test_mock_entropies_match_the_per_call_reference_bitwise(vocab):
+    limit = math.log(vocab)
+    for tokens in (1, 12, 40):
+        for target in (0.0, 0.4 * limit, limit):
+            for jitter in (0.0, 0.3):
+                profile = _profile(target, jitter=jitter, vocab=vocab, tokens=tokens)
+                for seed in range(200):
+                    resp = mock_execute(profile, Prompt("x"), "default", seed=seed)
+                    token_entropies, predictive = _reference_mock_entropies(profile, seed)
+                    assert _bytes(resp.token_entropies) == _bytes(token_entropies)
+                    assert _bytes(resp.predictive_entropy) == _bytes(predictive)
+
+
 def test_mock_constant_target_memo_cold_and_warm_agree():
-    memo = agents._constant_target_eps
+    memo = agents._constant_target_row
     for vocab in (2, 16, 50):
         for target in (0.0, 0.3, 0.69, math.log(vocab)):
             for seed in (1, 2):
@@ -461,18 +507,31 @@ def test_mock_constant_target_memo_cold_and_warm_agree():
                                     "default", seed=seed)
                 assert memo.cache_info().hits == 1
                 assert cold == warm
-                reference = _reference_solve_mixture_eps(target, vocab)
-                assert memo(float(target), vocab) == reference[0]
+                reference = _reference_row(target, vocab)
+                assert memo(float(target), vocab).tobytes() == reference.tobytes()
 
 
 def test_mock_jittered_targets_bypass_the_memo():
     mock_execute(_profile(0.8), Prompt("x"), "default", seed=1)
-    before = agents._constant_target_eps.cache_info()
+    before = agents._constant_target_row.cache_info()
     for seed in range(5):
         mock_execute(_profile(0.8, jitter=0.25), Prompt("x"), "default", seed=seed)
-    after = agents._constant_target_eps.cache_info()
+    after = agents._constant_target_row.cache_info()
     assert after.currsize == before.currsize
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_mock_constant_target_row_built_in_chunks_is_bitwise(monkeypatch, chunk):
+    # A large vocabulary builds its row a few symbols at a time; the chunk
+    # size changes no bits.
+    monkeypatch.setattr(agents, "_ROW_CHUNK", chunk * 9)
+    for target in (0.0, 1.1, math.log(9)):
+        agents._constant_target_row.cache_clear()
+        row = agents._constant_target_row(target, 9)
+        assert row.tobytes() == _reference_row(target, 9).tobytes()
+        assert not row.flags.writeable
+    agents._constant_target_row.cache_clear()
 
 
 def test_mock_hits_any_target_on_a_grid():
@@ -633,6 +692,36 @@ def test_chat_malformed_logprob_entry_is_transport_error(http_server, token):
     url = http_server(lambda p, b, h: (200, _chat_payload("a", [token])))
     with pytest.raises(TransportError, match="malformed logprobs"):
         chat_execute(_spec(), Prompt("s"), url)
+
+
+@pytest.mark.parametrize("logprob", ["-0.5", True, False, None, [-0.5]],
+                         ids=["numeric string", "true", "false", "null", "list"])
+@pytest.mark.parametrize("where", ["logprob", "top_logprobs"])
+def test_chat_logprob_that_is_not_a_number_is_transport_error(http_server, logprob, where):
+    token = {"token": "a", "logprob": -0.1}
+    if where == "logprob":
+        token["logprob"] = logprob
+    else:
+        token["top_logprobs"] = [{"token": "a", "logprob": -0.1},
+                                 {"token": "b", "logprob": logprob}]
+    url = http_server(lambda p, b, h: (200, _chat_payload("a", [token])))
+    with pytest.raises(TransportError, match="not a JSON number"):
+        chat_execute(_spec(), Prompt("s"), url)
+
+
+@pytest.mark.parametrize("logprob", [1e-300, 0.5, 1e308, float("inf")])
+def test_chat_positive_logprob_is_transport_error(logprob):
+    body = _chat_payload("a", [{"token": "a", "logprob": -0.1, "top_logprobs": [
+        {"token": "a", "logprob": -0.1}, {"token": "b", "logprob": logprob}]}])
+    with pytest.raises(TransportError, match="probability above 1"):
+        chat_execute(_spec(), Prompt("s"), "fake", session=_FakeSession(body))
+
+
+def test_chat_zero_and_negative_zero_logprobs_are_point_masses():
+    body = _chat_payload("a", [{"token": "a", "logprob": 0.0},
+                               {"token": "b", "logprob": -0.0}])
+    resp = chat_execute(_spec(), Prompt("s"), "fake", session=_FakeSession(body))
+    assert resp.token_entropies == (0.0, 0.0)
 
 
 def test_chat_null_usage_is_transport_error(http_server):

@@ -109,6 +109,20 @@ def test_remote_embed_malformed_body_is_typed(http_server, body):
         remote_embed("text", url, 2)
 
 
+@pytest.mark.parametrize("entry", ["1.5", True, False, None],
+                         ids=["numeric string", "true", "false", "null"])
+def test_remote_embed_entry_that_is_not_a_number_is_typed(http_server, entry):
+    url = http_server(lambda path, b, headers: (200, {"embedding": [0.5, entry]}))
+    with pytest.raises(RemoteEmbedError, match="not a JSON number"):
+        remote_embed("text", url, 2)
+
+
+def test_remote_embed_accepts_integer_entries(http_server):
+    url = http_server(lambda path, b, headers: (200, {"embedding": [1, -2]}))
+    out = remote_embed("text", url, 2)
+    assert out.dtype == np.float64 and out.tolist() == [1.0, -2.0]
+
+
 def test_remote_embed_reports_http_errors(http_server):
     url = http_server(lambda path, body, headers: (500, {"error": "boom"}))
     with pytest.raises(RemoteEmbedError, match="HTTP 500"):

@@ -2,11 +2,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from agentroute import router
 from agentroute.core import RouterConfig, derive_seed
 from agentroute.gradcheck import gradient_check
 from agentroute.learning import AdamWHyper, adamw_step, init_optimizer
-from agentroute.numerics import softmax, softmax_vjp
+from agentroute.numerics import sigmoid, softmax, softmax_vjp
 from agentroute.router import (PARAM_FIELDS, RouterParams, adaptive_k,
                                attach_responses, backward_trajectory, flat_to_params,
                                forward_trajectory, init_params, init_state,
@@ -254,6 +256,38 @@ def test_permutation_equivariance_of_selection():
         np.testing.assert_allclose(orig, new)
 
 
+_logit = st.floats(-20.0, 20.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_keep_top_k_is_permutation_equivariant_for_distinct_logits(data):
+    z = np.array(data.draw(st.lists(_logit, min_size=1, max_size=10, unique=True)))
+    perm = np.array(data.draw(st.permutations(range(z.size))))
+    k = data.draw(st.integers(1, z.size))
+    # Entry j of z[perm] is entry perm[j] of z, so agent i moves to position[i].
+    position = np.argsort(perm)
+    assert keep_top_k(z[perm], k) == tuple(int(position[i]) for i in keep_top_k(z, k))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_selection_is_unchanged_by_adding_a_constant_to_the_logits(data):
+    z = np.array(data.draw(st.lists(_logit, min_size=2, max_size=10, unique=True)))
+    assume(np.diff(np.sort(z)).min() >= 1e-6)
+    n = z.size
+    temperature = data.draw(st.floats(0.05, 5.0))
+    # Away from the uniform level, rounding in the shift cannot move a
+    # temperature-softmax entry across it.
+    assume(np.abs(softmax(z / temperature) - 1.0 / n).min() > 1e-9)
+    shifted = z + data.draw(st.floats(-10.0, 10.0))
+    max_route = data.draw(st.integers(1, n))
+    assert adaptive_k(shifted, temperature, max_route, n) == \
+        adaptive_k(z, temperature, max_route, n)
+    for k in range(1, n + 1):
+        assert keep_top_k(shifted, k) == keep_top_k(z, k)
+
+
 # --- forward/backward over trajectories ---
 
 def test_forward_single_step_equals_hand_composition():
@@ -469,6 +503,120 @@ def test_bptt_matches_finite_differences():
     # aggregation weights both active
     error = gradient_check(5, pool_size=6, embed_dim=16, steps=3)
     assert error <= 1e-5
+
+
+# --- bitwise references for the zero-state and h0 shortcuts ---
+
+def _reference_gru_forward(x, h_prev, params):
+    # The cell with all three recurrent products formed, from the zero
+    # state too.
+    r = sigmoid(params.w_r @ x + params.u_r @ h_prev + params.b_r)
+    u = sigmoid(params.w_u @ x + params.u_u @ h_prev + params.b_u)
+    rec = params.u_n @ h_prev + params.b_hn
+    c = np.tanh(params.w_n @ x + params.b_in + r * rec)
+    h = (1.0 - u) * c + u * h_prev
+    return r, u, rec, c, h
+
+
+def _reference_backward_trajectory(forward, per_step_dz):
+    # The full BPTT loop, which also forms the first step's dh_prev.
+    params, steps = forward.params, forward.steps
+    n, d = params.pool_size, params.embed_dim
+    t = len(steps)
+    rows = router.BackwardRows(
+        x=np.array([st.x for st in steps]).reshape(t, d),
+        h_prev=np.array([st.h_prev for st in steps]).reshape(t, d),
+        h=np.array([st.h for st in steps]).reshape(t, d),
+        dz=np.empty((t, n)), da_c=np.empty((t, d)), d_rec=np.empty((t, d)),
+        da_u=np.empty((t, d)), da_r=np.empty((t, d)))
+    dh_carry = np.zeros(d)
+    dz_from_alpha = np.zeros(n)
+    for i in reversed(range(t)):
+        st = steps[i]
+        dz = np.asarray(per_step_dz[i], dtype=np.float64) + dz_from_alpha
+        dh = params.w_out.T @ dz + dh_carry
+        dc = dh * (1.0 - st.u)
+        du = dh * (st.h_prev - st.c)
+        dh_prev = dh * st.u
+        da_c = dc * (1.0 - st.c ** 2)
+        dr = da_c * st.rec
+        d_rec = da_c * st.r
+        dh_prev = dh_prev + params.u_n.T @ d_rec
+        da_u = du * st.u * (1.0 - st.u)
+        dh_prev = dh_prev + params.u_u.T @ da_u
+        da_r = dr * st.r * (1.0 - st.r)
+        dh_prev = dh_prev + params.u_r.T @ da_r
+        rows.dz[i], rows.da_c[i], rows.d_rec[i] = dz, da_c, d_rec
+        rows.da_u[i], rows.da_r[i] = da_u, da_r
+        dh_carry = dh_prev
+        if i > 0:
+            prev = steps[i - 1]
+            dx = params.w_n.T @ da_c + params.w_u.T @ da_u + params.w_r.T @ da_r
+            dalpha = prev.kept_embeddings @ dx
+            dz_from_alpha = np.zeros(n)
+            dz_from_alpha[list(prev.selected_ids)] += softmax_vjp(prev.alpha, dalpha)
+    return rows
+
+
+def _field_bytes(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+_BIAS_FIELDS = ("b_r", "b_u", "b_in", "b_hn", "b_out")
+
+
+@pytest.mark.parametrize("d", [1, 7, 64, 384])
+@pytest.mark.parametrize("bias", [None, 0.0, -0.0], ids=["drawn", "+0.0", "-0.0"])
+def test_shortcut_forward_and_backward_match_the_full_products_bitwise(
+        monkeypatch, d, bias):
+    n, steps = 6, 3
+    config = _config(n=n, d=d, k=4, steps=steps, seed=d)
+    rng = np.random.default_rng(900 + d)
+    for _ in range(3):
+        params = init_params(config)
+        if bias is not None:
+            for name in _BIAS_FIELDS:
+                getattr(params, name)[...] = bias
+        query = rng.normal(size=d)
+        responses = rng.normal(size=(steps, n, d))
+        upstream = [rng.normal(size=n) for _ in range(steps)]
+        fast = forward_trajectory(query, responses, params, config)
+        fast_rows = backward_trajectory(fast, upstream)
+        with monkeypatch.context() as patch:
+            patch.setattr(router, "_gru_forward", _reference_gru_forward)
+            slow = forward_trajectory(query, responses, params, config)
+        slow_rows = _reference_backward_trajectory(slow, upstream)
+        for a, b in zip(fast.steps, slow.steps):
+            for name in a.__dataclass_fields__:
+                assert _field_bytes(getattr(a, name)) == _field_bytes(getattr(b, name)), name
+        for name in fast_rows.__dataclass_fields__:
+            assert _field_bytes(getattr(fast_rows, name)) == \
+                _field_bytes(getattr(slow_rows, name)), name
+        if bias is not None:
+            # From the zero state rec is exactly the bias plus +0.0.
+            assert fast.steps[0].rec.tobytes() == np.zeros(d).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_recurrent_weight_raises_at_the_first_nonzero_state(
+        monkeypatch, bad):
+    # Step 1 runs from the zero state without the recurrent products, so a
+    # non-finite u_r entry first reaches a gate at step 2. The state after
+    # step 1 is (0.5 tanh 1, 0): the bad entry meets its zero, so even inf
+    # gives NaN there. The full products raised at step 1.
+    params = _zero_params(2, 3)
+    params.b_in = np.array([1.0, 0.0])
+    params.u_r[0, 1] = bad
+    config = _config(n=3, d=2, k=2, steps=2)
+    responses = np.zeros((2, 3, 2))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="step 2: reset gate produced non-finite"):
+            forward_trajectory(np.zeros(2), responses, params, config)
+        monkeypatch.setattr(router, "_gru_forward", _reference_gru_forward)
+        with pytest.raises(ValueError, match="step 1: reset gate produced non-finite"):
+            forward_trajectory(np.zeros(2), responses, params, config)
 
 
 def test_route_step_count_probs_use_temperature():
