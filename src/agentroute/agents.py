@@ -244,6 +244,10 @@ def assemble_prompt(agent: AgentSpec, user_query: str,
 
 # --- mock agents ---
 
+_MAX_VOCAB = 1 << 32  # _mock_draws reads each value from one 32-bit half
+_HALF = 0xFFFFFFFF
+
+
 @dataclass(frozen=True)
 class MockProfile:
     """A deterministic stand-in agent.
@@ -261,6 +265,15 @@ class MockProfile:
     per-vocab entropy table, built on first use, and predicts the path of
     the next 32 with two Newton steps, checked at its own midpoints, bit
     for bit as the plain loop (see solve_mixture_eps).
+
+    A call's draws come from a PCG64 generator seeded with the call's
+    seed: the jittered targets first (standard_normal, one per token),
+    then the top symbols and the response nonce (see _mock_draws). Those
+    two are read straight from the generator's raw 64-bit words by the
+    rule numpy's Generator.integers(0, vocab_size, size=count) and then
+    Generator.bytes(4) follow, so trace bits follow the PCG64 stream,
+    which numpy keeps stable across releases, and not
+    Generator.integers' own code. The rule covers vocab_size up to 2**32.
     """
 
     agent_id: int
@@ -270,8 +283,8 @@ class MockProfile:
     tokens_per_response: int = 12
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ConfigError("vocab_size must be >= 2")
+        if not 2 <= self.vocab_size <= _MAX_VOCAB:
+            raise ConfigError("vocab_size must lie in [2, 2**32]")
         if self.tokens_per_response < 1:
             raise ConfigError("tokens_per_response must be >= 1")
         limit = math.log(self.vocab_size)
@@ -281,6 +294,62 @@ class MockProfile:
                     f"target entropy for tag {tag!r} must lie in [0, ln vocab_size]")
             if jitter < 0.0:
                 raise ConfigError(f"jitter for tag {tag!r} must be non-negative")
+
+    def skill(self, tag: str) -> tuple:
+        """The (target entropy, jitter) entry for a task tag, else the
+        'default' entry."""
+        entry = self.skill_map.get(tag, self.skill_map.get("default"))
+        if entry is None:
+            raise ConfigError(
+                f"agent {self.agent_id} has no skill entry for tag {tag!r}"
+                " and no default")
+        return entry
+
+
+def _mock_draws(rng, count: int, vocab: int):
+    """The top symbols and nonce of a mock call: the count values that
+    rng.integers(0, vocab, size=count) returns, then rng.bytes(4).hex(),
+    read from rng.bit_generator.random_raw words by the rule numpy follows
+    for vocab <= 2**32. Each value takes the next 32-bit half x, a fresh
+    word's low half first; m = x * vocab is drawn again while
+    m mod 2**32 < (2**32 - vocab) mod vocab (Lemire's rejection), and the
+    value is m >> 32. The nonce is the next half, the carried high half
+    when an odd number of halves was used, as 4 little-endian bytes.
+
+    The generator must have no carried half of its own (a fresh one, or
+    one that has only drawn doubles since), and it is left advanced past
+    whole words, possibly more than integers and bytes would take, so
+    callers drop it afterwards. Returns (uint64 symbols, nonce hex)."""
+    threshold = (_MAX_VOCAB - vocab) % vocab
+    words = rng.bit_generator.random_raw(count // 2 + 1)
+    halves = words.astype("<u8", copy=False).view("<u4")
+    # Below 2**64 for vocab <= 2**32.
+    scaled = np.multiply(halves[:count], vocab, dtype=np.uint64)
+    if threshold and ((scaled & _HALF) < threshold).any():
+        return _draws_with_rejections(rng, count, vocab, threshold, halves.tolist())
+    return scaled >> 32, _nonce(int(halves[count]))
+
+
+def _draws_with_rejections(rng, count, vocab, threshold, halves):
+    # The rule of _mock_draws, one half at a time, drawing more words as
+    # rejections use up the ones drawn.
+    symbols = []
+    position = 0
+    while True:
+        if position == len(halves):
+            word = int(rng.bit_generator.random_raw())
+            halves += [word & _HALF, word >> 32]
+        x = halves[position]
+        position += 1
+        if len(symbols) == count:
+            return np.array(symbols, dtype=np.uint64), _nonce(x)
+        m = x * vocab
+        if m & _HALF >= threshold:
+            symbols.append(m >> 32)
+
+
+def _nonce(half: int) -> str:
+    return half.to_bytes(4, "little").hex()
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
@@ -498,12 +567,7 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
     """Deterministic mock execution: same (profile, seed, tag) yields an
     identical response. The prompt shapes nothing here; supervision comes
     entirely from the skill map."""
-    entry = profile.skill_map.get(task_tag, profile.skill_map.get("default"))
-    if entry is None:
-        raise KeyError(
-            f"agent {profile.agent_id} has no skill entry for tag {task_tag!r}"
-            " and no default")
-    target, jitter = entry
+    target, jitter = profile.skill(task_tag)
     rng = np.random.default_rng(seed)
     count = profile.tokens_per_response
     vocab = profile.vocab_size
@@ -511,11 +575,11 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
         targets = np.clip(target + jitter * rng.standard_normal(count),
                           0.0, math.log(vocab))
         eps = solve_mixture_eps(targets, vocab)
-        entropies = _token_entropies(eps, rng.integers(0, vocab, size=count), vocab)
+        top_symbol, nonce = _mock_draws(rng, count, vocab)
+        entropies = _token_entropies(eps, top_symbol, vocab)
     else:
-        entropies = _constant_target_row(float(target), vocab)[
-            rng.integers(0, vocab, size=count)]
-    nonce = rng.bytes(4).hex()
+        top_symbol, nonce = _mock_draws(rng, count, vocab)
+        entropies = _constant_target_row(float(target), vocab)[top_symbol]
     text = profile.response_template.format(
         agent_id=profile.agent_id, step=step_index, tag=task_tag, nonce=nonce)
     return AgentResponse(
@@ -524,7 +588,8 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
         text=text,
         token_entropies=tuple(entropies.tolist()),
         token_count=count,
-        predictive_entropy=float(np.mean(entropies)),
+        # np.mean's own sum and division, without its dispatch.
+        predictive_entropy=float(np.add.reduce(entropies)) / count,
     )
 
 

@@ -13,13 +13,16 @@ import numpy as np
 
 
 def sigmoid(x):
+    """Logistic function with one exponential: e = exp(-|x|), then
+    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, NaN included.
+    Neither branch overflows, and the result is bit for bit the two-branch
+    form, 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below.
+    -|x| is taken as min(x, -x), which returns a NaN x itself, so a NaN
+    keeps its sign bit as it does in the two-branch form."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 def softmax(x) -> np.ndarray:

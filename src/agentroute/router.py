@@ -145,10 +145,15 @@ def _gru_forward(x, h_prev, params):
 def adaptive_k(z: np.ndarray, temperature: float, max_route: int, pool_size: int) -> int:
     """Per-step routed-agent count: how many temperature-softmax entries
     reach the uniform level 1/pool_size, capped at max_route."""
+    return _count_probs_and_k(z, temperature, max_route, pool_size)[1]
+
+
+def _count_probs_and_k(z, temperature: float, max_route: int, pool_size: int):
+    """The temperature softmax of checked logits z, and adaptive_k's count."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (pool_size,):
         raise ValueError(f"expected {pool_size} logits")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("logits contain non-finite values")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
@@ -158,7 +163,7 @@ def adaptive_k(z: np.ndarray, temperature: float, max_route: int, pool_size: int
     count = int(np.count_nonzero(probs >= 1.0 / pool_size))
     # The softmax maximum is always >= 1/pool_size, so count >= 1.
     assert count >= 1
-    return min(max_route, count)
+    return probs, min(max_route, count)
 
 
 def keep_top_k(z: np.ndarray, k: int) -> tuple[int, ...]:
@@ -198,9 +203,12 @@ def route_step(x: np.ndarray, h_prev: np.ndarray, params: RouterParams,
     x = np.asarray(x, dtype=np.float64)
     h_prev = np.asarray(h_prev, dtype=np.float64)
     r, u, rec, c, h = _gru_forward(x, h_prev, params)
-    for name, arr in (("reset", r), ("update", u), ("candidate", c), ("hidden", h)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} gate produced non-finite values")
+    # A NaN in r, u or c always reaches h (sigmoid and tanh are bounded), so
+    # h alone is checked, and the gates only to name the first bad one.
+    if not np.isfinite(h).all():
+        for name, arr in (("reset", r), ("update", u), ("candidate", c), ("hidden", h)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} gate produced non-finite values")
     step = StepCache(x=x, h_prev=h_prev, r=r, u=u, rec=rec, c=c, h=h)
     return select(step, params.w_out @ h + params.b_out, config)
 
@@ -212,10 +220,10 @@ def select(step: StepCache, z: np.ndarray, config: RouterConfig) -> StepCache:
     Scripted topology schedules pass their own logits through here."""
     z = np.asarray(z, dtype=np.float64)
     step.z = z
-    step.k = adaptive_k(z, config.temperature, config.max_route, config.pool_size)
+    step.count_probs, step.k = _count_probs_and_k(
+        z, config.temperature, config.max_route, config.pool_size)
     step.selected_ids = keep_top_k(z, step.k)
     step.alpha = softmax(z[list(step.selected_ids)])
-    step.count_probs = softmax(z / config.temperature)
     return step
 
 

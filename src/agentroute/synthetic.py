@@ -78,13 +78,8 @@ def query_tag(query: str) -> str:
 
 def expected_entropies(profiles, tag: str) -> np.ndarray:
     """Per-agent entropy targets for a tag, straight from the skill maps."""
-    targets = []
-    for profile in profiles:
-        entry = profile.skill_map.get(tag, profile.skill_map.get("default"))
-        if entry is None:
-            raise KeyError(f"no skill entry for tag {tag!r}")
-        targets.append(entry[0])
-    return np.asarray(targets, dtype=np.float64)
+    return np.asarray([profile.skill(tag)[0] for profile in profiles],
+                      dtype=np.float64)
 
 
 def top_pair_match_rate(runtime: Runtime, queries, params, config,

@@ -21,6 +21,7 @@ from agentroute.agents import (CONTINUE, ChatPoolBackend, ChatSummarizer, Final,
                                solve_mixture_eps, summarize_final, summarizer_decide)
 from agentroute.core import AgentResponse, AgentSpec, ConfigError, Prompt
 from agentroute.embed import remote_embed
+from agentroute.synthetic import expected_entropies
 
 
 def _spec(agent_id=0, tools=("calculator",)):
@@ -451,8 +452,10 @@ def test_mock_jittered_responses_match_reference_solver(monkeypatch):
 
 def _reference_mock_entropies(profile, seed):
     """The mock computation without any memo: eps solved on every call,
-    then the (tokens, vocab) matrix and x log x. Returns
-    (token_entropies, predictive_entropy) as mock_execute does."""
+    then the (tokens, vocab) matrix and x log x, with the top symbols from
+    Generator.integers and the nonce from Generator.bytes. Returns
+    (token_entropies, predictive_entropy, text) as mock_execute does at
+    step 1."""
     target, jitter = profile.skill_map["default"]
     rng = np.random.default_rng(seed)
     count, vocab = profile.tokens_per_response, profile.vocab_size
@@ -466,7 +469,9 @@ def _reference_mock_entropies(profile, seed):
     dists = np.repeat((eps / vocab)[:, None], vocab, axis=1)
     dists[np.arange(count), top_symbol] += 1.0 - eps
     entropies = -agents._xlogx(dists).sum(axis=1) + 0.0
-    return tuple(float(e) for e in entropies), float(np.mean(entropies))
+    text = profile.response_template.format(
+        agent_id=profile.agent_id, step=1, tag="default", nonce=rng.bytes(4).hex())
+    return tuple(float(e) for e in entropies), float(np.mean(entropies)), text
 
 
 def _reference_row(target, vocab):
@@ -490,9 +495,49 @@ def test_mock_entropies_match_the_per_call_reference_bitwise(vocab):
                 profile = _profile(target, jitter=jitter, vocab=vocab, tokens=tokens)
                 for seed in range(200):
                     resp = mock_execute(profile, Prompt("x"), "default", seed=seed)
-                    token_entropies, predictive = _reference_mock_entropies(profile, seed)
+                    token_entropies, predictive, text = _reference_mock_entropies(
+                        profile, seed)
                     assert _bytes(resp.token_entropies) == _bytes(token_entropies)
                     assert _bytes(resp.predictive_entropy) == _bytes(predictive)
+                    assert resp.text == text
+
+
+def _reference_draws(rng, count, vocab):
+    return rng.integers(0, vocab, size=count), rng.bytes(4).hex()
+
+
+def _assert_draws_match(seed, count, vocab, after_normals):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    if after_normals:
+        fast.standard_normal(count)
+        slow.standard_normal(count)
+    symbols, nonce = agents._mock_draws(fast, count, vocab)
+    expected_symbols, expected_nonce = _reference_draws(slow, count, vocab)
+    assert symbols.tolist() == expected_symbols.tolist()
+    assert nonce == expected_nonce
+
+
+# 2**31 + 1 and 3 * 2**30 reject about a half and a quarter of their draws,
+# so a carried high half often decides a value or the nonce; 2**32 takes
+# every half as it is.
+DRAW_VOCABS = [2, 3, 7, 16, 50, 130, 2**31 + 1, 3 * 2**30, 2**32]
+
+
+@pytest.mark.parametrize("vocab", DRAW_VOCABS)
+@pytest.mark.parametrize("count", [1, 12, 40])
+def test_mock_draws_match_generator_integers_then_bytes(vocab, count):
+    for seed in range(200):
+        for after_normals in (False, True):
+            _assert_draws_match(seed, count, vocab, after_normals)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(vocab=st.integers(2, 2**32), count=st.integers(1, 64),
+       seed=st.integers(0, 2**64 - 1), after_normals=st.booleans())
+@example(vocab=2**32, count=1, seed=0, after_normals=False)
+@example(vocab=2**31 + 1, count=40, seed=3, after_normals=True)
+def test_mock_draws_match_generator_for_any_vocab(vocab, count, seed, after_normals):
+    _assert_draws_match(seed, count, vocab, after_normals)
 
 
 def test_mock_constant_target_memo_cold_and_warm_agree():
@@ -568,8 +613,10 @@ def test_mock_renders_template_fields():
 
 def test_mock_unknown_tag_without_default_raises():
     profile = MockProfile(agent_id=0, skill_map={"math": (0.5, 0.0)})
-    with pytest.raises(KeyError, match="no skill entry"):
+    with pytest.raises(ConfigError, match="agent 0 has no skill entry for tag 'poetry'"):
         mock_execute(profile, Prompt("x"), "poetry", seed=1)
+    with pytest.raises(ConfigError, match="agent 0 has no skill entry for tag 'poetry'"):
+        expected_entropies([profile], "poetry")
 
 
 def test_mock_profile_rejects_bad_targets():
@@ -577,6 +624,12 @@ def test_mock_profile_rejects_bad_targets():
         MockProfile(agent_id=0, skill_map={"default": (99.0, 0.0)})
     with pytest.raises(ConfigError, match="jitter"):
         MockProfile(agent_id=0, skill_map={"default": (0.5, -1.0)})
+
+
+@pytest.mark.parametrize("vocab", [1, 2**32 + 1])
+def test_mock_profile_rejects_vocab_outside_the_draw_rule(vocab):
+    with pytest.raises(ConfigError, match="vocab_size"):
+        MockProfile(agent_id=0, skill_map={"default": (0.0, 0.0)}, vocab_size=vocab)
 
 
 def test_mock_pool_backend_reads_tag_from_query():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -400,6 +401,19 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["infer", "--config", str(missing), "--query", "q"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["infer", "train"])
+def test_main_reports_an_unknown_tag_without_default(tmp_path, capsys, command):
+    config = write_config(tmp_path / "run.conf", skills=["alpha:0.2:0.0"])
+    queries = write_queries(tmp_path / "q.txt", ["[tag:poetry] write a verse"])
+    source = (["--query", "[tag:poetry] write a verse"] if command == "infer"
+              else ["--queries", str(queries)])
+    assert main([command, "--config", str(config), *source]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: (training query 0 failed: )?agent \d has no skill entry for tag"
+        r" 'poetry' and no default\n", err), err
 
 
 # Port 9 (discard) has no listener, so every request is refused at once.

@@ -505,13 +505,24 @@ def test_bptt_matches_finite_differences():
     assert error <= 1e-5
 
 
-# --- bitwise references for the zero-state and h0 shortcuts ---
+# --- bitwise references for the zero-state and h0 shortcuts and the sigmoid ---
+
+def _reference_sigmoid(x):
+    # The two-branch form, one exponential per branch.
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
 
 def _reference_gru_forward(x, h_prev, params):
     # The cell with all three recurrent products formed, from the zero
-    # state too.
-    r = sigmoid(params.w_r @ x + params.u_r @ h_prev + params.b_r)
-    u = sigmoid(params.w_u @ x + params.u_u @ h_prev + params.b_u)
+    # state too, and the two-branch sigmoid.
+    r = _reference_sigmoid(params.w_r @ x + params.u_r @ h_prev + params.b_r)
+    u = _reference_sigmoid(params.w_u @ x + params.u_u @ h_prev + params.b_u)
     rec = params.u_n @ h_prev + params.b_hn
     c = np.tanh(params.w_n @ x + params.b_in + r * rec)
     h = (1.0 - u) * c + u * h_prev
@@ -617,6 +628,47 @@ def test_non_finite_recurrent_weight_raises_at_the_first_nonzero_state(
         monkeypatch.setattr(router, "_gru_forward", _reference_gru_forward)
         with pytest.raises(ValueError, match="step 1: reset gate produced non-finite"):
             forward_trajectory(np.zeros(2), responses, params, config)
+
+
+def test_sigmoid_matches_the_two_branch_form_bitwise():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+                        tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308,
+                        36.8, -36.8, 709.8, -709.8, 745.2, -745.2, 800.0, -800.0])
+    assert sigmoid(special).tobytes() == _reference_sigmoid(special).tobytes()
+    assert sigmoid(np.linspace(-800.0, 800.0, 4001)).tobytes() == \
+        _reference_sigmoid(np.linspace(-800.0, 800.0, 4001)).tobytes()
+    rng = np.random.default_rng(41)
+    # Lengths 1-67 cover the SIMD loops' tails.
+    for length in range(1, 68):
+        for scale in (1e-3, 1.0, 30.0, 800.0):
+            x = rng.normal(scale=scale, size=length)
+            x[rng.random(length) < 0.05] = np.nan
+            assert sigmoid(x).tobytes() == _reference_sigmoid(x).tobytes()
+    assert sigmoid(-3.0).tobytes() == _reference_sigmoid(-3.0).tobytes()
+
+
+@pytest.mark.parametrize("weight, gate", [("w_r", "reset"), ("w_u", "update"),
+                                          ("w_n", "candidate")])
+def test_route_step_names_the_gate_a_nan_weight_reaches_first(weight, gate):
+    params = _zero_params(2, 3)
+    getattr(params, weight)[0, 1] = np.nan
+    config = _config(n=3, d=2, k=2)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=f"^{gate} gate produced non-finite"):
+            route_step(np.ones(2), np.zeros(2), params, config)
+
+
+def test_route_step_names_the_hidden_state_for_a_non_finite_input_state():
+    # Positive recurrent weights send +inf into every gate, where sigmoid
+    # and tanh saturate to finite values; only the carried u * h_prev term
+    # stays infinite.
+    params = _zero_params(2, 3)
+    for name in ("u_r", "u_u", "u_n"):
+        getattr(params, name)[...] = 1.0
+    config = _config(n=3, d=2, k=2)
+    with pytest.raises(ValueError, match="^hidden gate produced non-finite"):
+        route_step(np.ones(2), np.array([np.inf, 0.0]), params, config)
 
 
 def test_route_step_count_probs_use_temperature():
