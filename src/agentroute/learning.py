@@ -189,59 +189,65 @@ ADAMW_CHUNK = 32768
 
 @dataclass
 class OptimizerState:
-    """AdamW moments, a scratch buffer and the training loop's gradient
-    buffer, all None until first used, so setting up an optimizer costs
-    nothing. Both moments live in one (2, size) buffer, `moments`;
-    first_moment and second_moment are views into its rows with the
-    parameters' field names and shapes. `grads` is the gradient container
-    the training loop asks `reduce_gradients` to fill for every batch."""
+    """AdamW state: the step count, the hyperparameters, and buffers that
+    are all None until first used, so setting up an optimizer costs
+    nothing. `moments` holds the first moment in row 0 and the second in
+    row 1, each row laid out like the parameters' flat vector. `params` is
+    the flat parameter vector the state owns: `adamw_step` writes its first
+    update there, and updates it in place on every later step that is given
+    the parameters the previous step returned. `scratch` holds the update's
+    intermediates, and `grads` is the gradient container the training loop
+    asks `reduce_gradients` to fill for every batch."""
 
-    first_moment: object
-    second_moment: object
     step_count: int
     hyper: AdamWHyper
     moments: np.ndarray | None = None
+    params: np.ndarray | None = None
     scratch: np.ndarray | None = None
     grads: object = None
 
 
 def init_optimizer(params, hyper: AdamWHyper) -> OptimizerState:
-    return OptimizerState(first_moment=None, second_moment=None,
-                          step_count=0, hyper=hyper)
+    return OptimizerState(step_count=0, hyper=hyper)
 
 
 def adamw_step(params, grads, state: OptimizerState):
     """Decoupled-weight-decay Adam with bias correction.
 
     Mutates the optimizer state in place and returns the updated parameter
-    container, flat-backed; the input parameters are left untouched. The
-    update runs over the flat vectors of the parameters, the gradients
-    (copied into one first when they are not flat-backed, see
+    container, whose tensors are views into the state's own flat vector,
+    `state.params`. The first step of a state, or a step given parameters
+    that are not views of that vector, writes the update into a new vector
+    and leaves the input parameters untouched; a step given the parameters
+    the previous step returned updates that vector in place and returns
+    them, so a training loop allocates no parameter-sized buffer after its
+    first step. The update runs over the flat vectors of the parameters,
+    the gradients (copied into one first when they are not flat-backed, see
     `numerics.flatten`) and the moments, ADAMW_CHUNK elements at a time,
     with intermediates in a scratch buffer of two chunks. Per element it
     keeps the operation order of
         m = beta1 m + (1 - beta1) g
         v = beta2 v + (1 - beta2) g^2
         p - lr ((m / bias1) / (sqrt(v / bias2) + epsilon) + weight_decay p)
-    so the bits do not depend on the chunking. A non-finite update raises
-    ValueError naming its tensor.
+    so the bits depend neither on the chunking nor on whether the update is
+    written in place. A non-finite update raises ValueError naming its
+    tensor and leaves the state, parameters included, partly updated.
     """
     hyper = state.hyper
     p_all, g_all = flatten(params), flatten(grads)
-    shapes = {name: arr.shape for name, arr in iter_arrays(params)}
     if state.moments is None:
         state.moments = np.zeros((2, p_all.size))
-        state.first_moment, state.second_moment = (
-            unflatten(row, shapes, type(params)) for row in state.moments)
         state.scratch = np.empty((2, ADAMW_CHUNK))
+    in_place = p_all is state.params
+    if not in_place:
+        state.params = np.empty(p_all.size)
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - hyper.beta1 ** t
     bias2 = 1.0 - hyper.beta2 ** t
-    new_all = np.empty(p_all.size)
     for start in range(0, p_all.size, ADAMW_CHUNK):
         chunk = slice(start, start + ADAMW_CHUNK)
-        p, g, new = p_all[chunk], g_all[chunk], new_all[chunk]
+        p, g, new = p_all[chunk], g_all[chunk], state.params[chunk]
         m, v = state.moments[:, chunk]
         a, b = state.scratch[:, :p.size]
         m *= hyper.beta1
@@ -262,4 +268,7 @@ def adamw_step(params, grads, state: OptimizerState):
         if not finite.all():
             bad = start + int(np.argmin(finite))
             raise ValueError(f"non-finite optimizer update for {field_at(params, bad)}")
-    return unflatten(new_all, shapes, type(params))
+    if in_place:
+        return params
+    shapes = {name: arr.shape for name, arr in iter_arrays(params)}
+    return unflatten(state.params, shapes, type(params))

@@ -28,14 +28,16 @@ h0, never forming the gradient of the constant initial state.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RouterConfig, derive_seed, validate_config
-from .numerics import field_at, flatten, iter_arrays, sigmoid, softmax, \
-    softmax_vjp, unflatten
+from .numerics import flatten, iter_arrays, sigmoid, softmax, softmax_vjp, \
+    unflatten
 
 _SNAPSHOT_MAGIC = b"ARPS"
 _SNAPSHOT_VERSION = 1
@@ -53,12 +55,13 @@ class RouterParams:
     (n, d) and (n,) for the head.
 
     Every RouterParams the library builds (init_params, load_params,
-    reduce_gradients, adamw_step, flat_to_params) is flat-backed: its
-    tensors are C-contiguous views into one float64 vector, laid out in
-    PARAM_FIELDS order, which `params_to_flat` returns without a copy.
-    Writing to a tensor writes to that vector. A RouterParams built from
-    separate arrays works everywhere too, at the cost of a copy wherever
-    the flat vector is needed."""
+    reduce_gradients, flat_to_params, and adamw_step, whose vector is the
+    optimizer state's own and is updated in place by later steps) is
+    flat-backed: its tensors are C-contiguous views into one float64
+    vector, laid out in PARAM_FIELDS order, which `params_to_flat` returns
+    without a copy. Writing to a tensor writes to that vector. A
+    RouterParams built from separate arrays works everywhere too, at the
+    cost of a copy wherever the flat vector is needed."""
 
     w_r: np.ndarray
     w_u: np.ndarray
@@ -103,6 +106,15 @@ def _param_shapes(d: int, n: int) -> dict:
 
 def _param_count(d: int, n: int) -> int:
     return sum(math.prod(shape) for shape in _param_shapes(d, n).values())
+
+
+def _tensor_at(d: int, n: int, index: int) -> str:
+    """The name of the tensor holding element `index` of the flat vector."""
+    for name, shape in _param_shapes(d, n).items():
+        if index < math.prod(shape):
+            return name
+        index -= math.prod(shape)
+    raise IndexError("index past the last tensor")
 
 
 def _params_view(flat: np.ndarray, d: int, n: int) -> RouterParams:
@@ -389,9 +401,13 @@ def reduce_gradients(batch, scale: float = 1.0,
     for name, rows in (("b_r", da_r), ("b_u", da_u), ("b_in", da_c),
                        ("b_hn", d_rec), ("b_out", dz)):
         np.sum(rows, axis=0, out=getattr(grads, name))
-    for name, arr in iter_arrays(grads):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite gradient in {name}")
+    # A tensor with a non-finite entry has a non-finite sum of squares; the
+    # elementwise check runs only then, since finite entries can overflow it.
+    with np.errstate(over="ignore"):
+        for name, arr in iter_arrays(grads):
+            flat = arr.ravel()
+            if not math.isfinite(np.dot(flat, flat)) and not np.all(np.isfinite(arr)):
+                raise ValueError(f"non-finite gradient in {name}")
     return grads
 
 
@@ -417,26 +433,38 @@ def save_params(path, params: RouterParams, config: RouterConfig) -> None:
 def load_params(path, config: RouterConfig | None = None):
     """Read a snapshot; returns (params, header) with header keys
     version, embed_dim, pool_size, seed. Checks shape compatibility when a
-    config is given. The tensors come in one read, straight into the
-    returned parameters' flat vector."""
+    config is given. A file that is not a snapshot, or whose size does not
+    match its header's shape, raises ValueError. The tensors come in one
+    read, straight into the returned parameters' flat vector."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: not a router parameter snapshot")
-        version, d, n, seed = struct.unpack("<III Q", fh.read(20))
+        fields = fh.read(20)
+        if len(fields) != 20:
+            raise ValueError(f"{path}: truncated snapshot header")
+        version, d, n, seed = struct.unpack("<III Q", fields)
         if version != _SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
         if config is not None and (d != config.embed_dim or n != config.pool_size):
             raise ValueError(
                 f"{path}: snapshot is ({d}, {n}) but config wants"
                 f" ({config.embed_dim}, {config.pool_size})")
-        flat = np.empty(_param_count(d, n), dtype="<f8")
+        # A corrupt shape must not size the allocation: a regular file too
+        # short for its header's shape fails before anything is allocated.
+        count = _param_count(d, n)
+        info = os.fstat(fh.fileno())
+        stored = info.st_size - fh.tell()
+        if stat.S_ISREG(info.st_mode) and stored < count * 8:
+            raise ValueError(f"{path}: truncated snapshot at tensor"
+                             f" {_tensor_at(d, n, stored // 8)}")
+        flat = np.empty(count, dtype="<f8")
         got = fh.readinto(flat)
-        params = _params_view(flat.astype(np.float64, copy=False), d, n)
         if got != flat.nbytes:
             raise ValueError(
-                f"{path}: truncated snapshot at tensor {field_at(params, got // 8)}")
+                f"{path}: truncated snapshot at tensor {_tensor_at(d, n, got // 8)}")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")
+    params = _params_view(flat.astype(np.float64, copy=False), d, n)
     header = {"version": version, "embed_dim": d, "pool_size": n, "seed": seed}
     return params, header

@@ -1,11 +1,14 @@
+import operator
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from agentroute.cli import (build_runtime, cmd_gradcheck, cmd_infer, cmd_simulate,
                             cmd_train, cmd_ttt, load_config, main,
@@ -279,6 +282,40 @@ def test_infer_with_zero_params_reaches_dense_limit(tmp_path):
     assert cmd_infer(str(config), query="[tag:alpha] boundary probe") == 0
     trace = read_trace(tmp_path / "trace.jsonl")
     assert trace[0].steps[0].k == 4
+
+
+# A snapshot of write_config's default shape (embed_dim 16, pool_size 4):
+# the header, then 1,668 float64 parameters.
+_SNAPSHOT_HEADER = b"ARPS" + struct.pack("<III Q", 1, 16, 4, 7)
+_SNAPSHOT_TENSOR_BYTES = 8 * 1668
+
+
+def _malformed_snapshots():
+    headers = st.builds(
+        lambda version, d, n, seed: b"ARPS" + struct.pack("<III Q", version, d, n, seed),
+        st.integers(0, 2), st.sampled_from([16, 0, 15, 20000, 2**32 - 1]),
+        st.sampled_from([4, 0, 3, 2**32 - 1]), st.integers(0, 2**64 - 1))
+    valid_size = len(_SNAPSHOT_HEADER) + _SNAPSHOT_TENSOR_BYTES
+    padded = _SNAPSHOT_HEADER + bytes(_SNAPSHOT_TENSOR_BYTES + 16)
+    return st.one_of(
+        st.binary(max_size=48),
+        st.builds(operator.add, headers, st.binary(max_size=64)),
+        st.one_of(st.integers(0, 24), st.integers(0, len(padded)))
+        .filter(lambda size: size != valid_size).map(lambda size: padded[:size]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_malformed_snapshots())
+def test_infer_reports_any_malformed_snapshot_as_one_error_line(tmp_path, capsys, data):
+    snapshot = tmp_path / "params.bin"
+    snapshot.write_bytes(data)
+    config = write_config(tmp_path / "run.conf", params_in=str(snapshot))
+    capsys.readouterr()
+    assert main(["infer", "--config", str(config), "--query", "[tag:alpha] q"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: [^\n]*\n", err), err
 
 
 def test_train_unwritable_output_fails_with_path_in_message(tmp_path, capsys):

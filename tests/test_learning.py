@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +13,7 @@ from agentroute.learning import (AdamWHyper, adamw_step, clip_gradients,
                                  mse_loss_grad, predictive_entropy, ranking_loss,
                                  ranking_loss_grad, total_loss, triplet_loss,
                                  triplet_loss_grad)
-from agentroute.numerics import global_norm
+from agentroute.numerics import global_norm, unflatten
 from agentroute.router import flat_to_params, init_params, params_to_flat
 
 
@@ -255,8 +256,8 @@ def test_adamw_zero_grads_zero_decay_is_fixed_point():
     state = init_optimizer(params, AdamWHyper(weight_decay=0.0))
     out = adamw_step(params, Scalar(w=np.zeros(1)), state)
     np.testing.assert_array_equal(out.w, params.w)
-    np.testing.assert_array_equal(state.first_moment.w, 0.0)
-    np.testing.assert_array_equal(state.second_moment.w, 0.0)
+    np.testing.assert_array_equal(state.moments[0], 0.0)
+    np.testing.assert_array_equal(state.moments[1], 0.0)
     assert state.step_count == 1
 
 
@@ -269,8 +270,8 @@ def test_adamw_matches_scripted_recurrences():
     assert abs(step1.w[0] - 0.49899500001) <= 1e-15
     step2 = adamw_step(step1, Scalar(w=np.array([1.0])), state)
     assert abs(step2.w[0] - 0.49799001006999993) <= 1e-15
-    assert abs(state.first_moment.w[0] - 0.18999999999999995) <= 1e-16
-    assert abs(state.second_moment.w[0] - 0.0019990000000000016) <= 1e-18
+    assert abs(state.moments[0, 0] - 0.18999999999999995) <= 1e-16
+    assert abs(state.moments[1, 0] - 0.0019990000000000016) <= 1e-18
 
 
 def test_adamw_first_step_without_decay_is_almost_lr():
@@ -344,11 +345,12 @@ def test_adamw_is_bit_identical_to_the_reference(weight_decay):
         grads = Tensors(**{name: draw(shape) for name, shape in shapes.items()})
         params = adamw_step(params, grads, state)
         ref_params = _reference_adamw(ref_params, grads, ref_moments, t, hyper)
+        first, second = (unflatten(row, shapes, Tensors) for row in state.moments)
         for name in shapes:
             assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes()
-            assert getattr(state.first_moment, name).tobytes() == \
+            assert getattr(first, name).tobytes() == \
                 getattr(ref_moments[0], name).tobytes()
-            assert getattr(state.second_moment, name).tobytes() == \
+            assert getattr(second, name).tobytes() == \
                 getattr(ref_moments[1], name).tobytes()
     assert state.step_count == 6
 
@@ -356,9 +358,9 @@ def test_adamw_is_bit_identical_to_the_reference(weight_decay):
 def test_adamw_creates_moments_on_first_step():
     params = Scalar(w=np.array([0.5, -0.5]))
     state = init_optimizer(params, AdamWHyper())
-    assert state.first_moment is None and state.second_moment is None
+    assert state.moments is None
     adamw_step(params, Scalar(w=np.array([1.0, 2.0])), state)
-    assert state.first_moment.w.shape == (2,)
+    assert state.moments.shape == (2, 2)
     # the update leaves the caller's parameters alone
     np.testing.assert_array_equal(params.w, [0.5, -0.5])
 
@@ -373,6 +375,36 @@ def _router_params_and_grads(seed, d=4, n=3):
                             * 10.0 ** rng.uniform(-8.0, 2.0, size=size), params)
              for _ in range(6)]
     return params, grads
+
+
+def test_adamw_updates_its_own_vector_in_place_after_the_first_step():
+    params, grad_steps = _router_params_and_grads(seed=29, d=64, n=8)
+    before = params_to_flat(params).tobytes()
+    state = init_optimizer(params, AdamWHyper())
+    first = adamw_step(params, grad_steps[0], state)
+    assert params_to_flat(first) is state.params
+    assert not np.shares_memory(state.params, params_to_flat(params))
+    tracemalloc.start()
+    try:
+        second = adamw_step(first, grad_steps[1], state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert params_to_flat(second) is params_to_flat(first)
+    # No block as large as the parameter vector was allocated on the way.
+    assert peak < state.params.nbytes
+    assert params_to_flat(params).tobytes() == before
+
+
+def test_adamw_given_other_params_leaves_the_previous_result_intact():
+    params, grad_steps = _router_params_and_grads(seed=31)
+    state = init_optimizer(params, AdamWHyper())
+    first = adamw_step(params, grad_steps[0], state)
+    kept = params_to_flat(first).tobytes()
+    again = adamw_step(params, grad_steps[1], state)
+    assert not np.shares_memory(params_to_flat(again), params_to_flat(first))
+    assert params_to_flat(first).tobytes() == kept
+    assert params_to_flat(again) is state.params
 
 
 @pytest.mark.parametrize("chunk", [5, 7, 64, 32768])
@@ -390,8 +422,8 @@ def test_adamw_on_flat_params_is_bit_identical_to_the_reference(chunk, monkeypat
         params = adamw_step(params, grads, state)
         ref_params = _reference_adamw(ref_params, grads, ref_moments, t, hyper)
         assert params_to_flat(params).tobytes() == params_to_flat(ref_params).tobytes()
-        for moment, ref in zip((state.first_moment, state.second_moment), ref_moments):
-            assert params_to_flat(moment).tobytes() == params_to_flat(ref).tobytes()
+        for row, ref in zip(state.moments, ref_moments):
+            assert row.tobytes() == params_to_flat(ref).tobytes()
 
 
 @pytest.mark.parametrize("name,index", [("b_hn", 1), ("w_r", 0), ("b_out", 2)])

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -752,6 +753,41 @@ def test_snapshot_rejects_truncated_and_trailing_bytes(tmp_path):
         load_params(path)
 
 
+def test_snapshot_rejects_a_short_header(tmp_path):
+    config = _config(n=3, d=4)
+    path = tmp_path / "p.bin"
+    save_params(path, init_params(config), config)
+    data = path.read_bytes()
+    for cut in (4, 5, 23):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated snapshot header$"):
+            load_params(path)
+
+
+@pytest.mark.parametrize("d, n, message", [
+    (20000, 3, "truncated snapshot at tensor w_r$"),
+    (2**32 - 1, 2**32 - 1, "truncated snapshot at tensor w_r$"),
+    (3, 3, "trailing bytes"),
+])
+def test_snapshot_size_fields_are_checked_before_allocating(tmp_path, d, n, message):
+    # A d=4, n=3 snapshot whose header claims another shape. Without a
+    # config nothing checks the shape first; d=20000 alone would ask for
+    # 17.9 GiB.
+    config = _config(n=3, d=4)
+    path = tmp_path / "p.bin"
+    save_params(path, init_params(config), config)
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<II", d, n) + data[16:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            load_params(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_flat_round_trip():
     params = _random_params(5, 3, seed=20)
     flat = params_to_flat(params)
@@ -771,6 +807,38 @@ def test_reduce_gradients_into_a_reused_buffer_equals_a_fresh_reduction():
         reused = reduce_gradients(batch, scale=1.0 / len(batch), out=buffer)
         assert reused is buffer
         assert params_to_flat(reused).tobytes() == params_to_flat(fresh).tobytes()
+
+
+def _random_rows(seed, steps=2, d=5, n=3):
+    rng = np.random.default_rng(seed)
+    return router.BackwardRows(**{
+        name: rng.normal(size=(steps, n if name == "dz" else d))
+        for name in router.BackwardRows.__dataclass_fields__})
+
+
+def test_reduce_gradients_accepts_finite_entries_whose_squares_overflow():
+    rows = _random_rows(62)
+    rows.dz[:] = 1e200
+    rows.h[:] = 1.0
+    grads = reduce_gradients([rows])
+    np.testing.assert_array_equal(grads.w_out, 2e200)
+    np.testing.assert_array_equal(grads.b_out, 2e200)
+    with np.errstate(over="ignore"):
+        assert np.dot(grads.b_out, grads.b_out) == np.inf
+
+
+@pytest.mark.parametrize("row, value, name", [
+    ("x", np.nan, "w_r"), ("da_u", np.inf, "w_u"), ("h_prev", np.inf, "u_r"),
+    ("d_rec", -np.inf, "u_n"), ("dz", np.nan, "w_out"), ("h", 1e200, "w_out")])
+def test_reduce_gradients_names_the_tensor_of_a_non_finite_product(row, value, name):
+    rows = _random_rows(63)
+    getattr(rows, row)[1, 2] = value
+    if value == 1e200:
+        rows.dz[1] = 1e200  # each product overflows to inf
+    # The products themselves may warn; only the check's verdict counts here.
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=f"non-finite gradient in {name}$"):
+        reduce_gradients([rows])
 
 
 def test_library_params_are_views_into_one_flat_vector(tmp_path):
