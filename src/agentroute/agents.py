@@ -261,10 +261,14 @@ class MockProfile:
     symbol) is computed once per (target, vocab_size) and memoised, and a
     call gathers it by its drawn top symbols; jittered targets are drawn
     and solved afresh on every call and bypass the memo. That solve is
-    cheap all the same: it reads the first 16 bisection levels from a
-    per-vocab entropy table, built on first use, and predicts the path of
-    the next 32 with two Newton steps, checked at its own midpoints, bit
-    for bit as the plain loop (see solve_mixture_eps).
+    cheap all the same: one pass checks a path of the first 48 bisection
+    levels at once, bit for bit as the plain loop (see solve_mixture_eps).
+    A per-vocab entropy table, built on first use, gives the first 16
+    levels; a secant inside the table's level-16 bracket and one Newton
+    step (two in the first bracket) estimate the root, which fixes the
+    next 32. One stop rule and one comparison check run over all 48
+    levels, and the plain loop resumes only where the path disagrees.
+    Targets and jitters must be finite.
 
     A call's draws come from a PCG64 generator seeded with the call's
     seed: the jittered targets first (standard_normal, one per token),
@@ -292,8 +296,8 @@ class MockProfile:
             if not 0.0 <= target <= limit + 1e-12:
                 raise ConfigError(
                     f"target entropy for tag {tag!r} must lie in [0, ln vocab_size]")
-            if jitter < 0.0:
-                raise ConfigError(f"jitter for tag {tag!r} must be non-negative")
+            if not 0.0 <= jitter < math.inf:
+                raise ConfigError(f"jitter for tag {tag!r} must be finite and non-negative")
 
     def skill(self, tag: str) -> tuple:
         """The (target entropy, jitter) entry for a task tag, else the
@@ -359,26 +363,26 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return out
 
 
-# Levels 1-16 come from a per-vocab table. Levels 17-48 follow a path read
-# off a Newton estimate of the root; 16 + 32 levels stay below level 52, up
-# to which lo + k * 2**-L is the very double that 0.5 * (lo + hi) gives, so
-# table and path points are the plain loop's midpoints.
+# One pass resolves the first 48 bisection levels. Levels 1-16 come from a
+# per-vocab table and levels 17-48 from a path read off an estimate of the
+# root. 48 levels stay below level 52, up to which lo + k * 2**-L is the
+# very double that 0.5 * (lo + hi) gives, so the pass's points are the
+# plain loop's midpoints.
 _TABLE_LEVELS = 16
-_PATH_LEVELS = 32
+_PASS_LEVELS = 48
 _MAX_ITERATIONS = 80
 _TABLE_CHUNK = 2048
 _TOP_SNAP = 1e-15  # targets this close to ln vocab snap to eps = 1
+_TOL = 1e-9  # the solve's default stop tolerance
+_TABLE_STEP = math.ldexp(1.0, -_TABLE_LEVELS)
+_PASS_STEP = math.ldexp(1.0, -_PASS_LEVELS)
+# The lo of a level-16 bracket's top level-48 cell, relative to its own lo.
+_LAST_CELL = _TABLE_STEP - _PASS_STEP
 
-
-def _path_masks(levels: int):
-    # A bracket count c (block points at or below the target) fixes the path:
-    # the level-l point clears the low s = levels - l + 1 bits of c and sets
-    # bit s - 1. Rows are levels, shallowest first.
-    shift = np.arange(levels, 0, -1)[:, None]
-    return ~((1 << shift) - 1), 1 << (shift - 1)
-
-
-_PATH_MASKS = {levels: _path_masks(levels) for levels in (_TABLE_LEVELS, _PATH_LEVELS)}
+# A level-48 bracket count c fixes the pass's path: the point of row r
+# (level r + 1) clears the low s = 48 - r bits of c and sets bit s - 1.
+_SHIFT = np.arange(_PASS_LEVELS, 0, -1)[:, None]
+_PATH_KEEP, _PATH_BIT = ~((1 << _SHIFT) - 1), 1 << (_SHIFT - 1)
 
 
 def _mixture_entropy(eps, vocab_size: int):
@@ -392,60 +396,79 @@ def _mixture_entropy(eps, vocab_size: int):
 
 @functools.lru_cache(maxsize=8)
 def _entropy_table(vocab_size: int) -> np.ndarray:
-    """Mixture entropy at the 2**_TABLE_LEVELS - 1 dyadic points
-    j * 2**-_TABLE_LEVELS, built on first use in chunks so the build adds
-    little peak memory beyond the table's own 512 KiB."""
-    size = (1 << _TABLE_LEVELS) - 1
-    table = np.empty(size)
-    for start in range(0, size, _TABLE_CHUNK):
-        stop = min(start + _TABLE_CHUNK, size)
-        points = np.arange(start + 1, stop + 1, dtype=np.float64)
-        table[start:stop] = _mixture_entropy(points * math.ldexp(1.0, -_TABLE_LEVELS),
-                                             vocab_size)
+    """Mixture entropy at the 2**_TABLE_LEVELS + 1 dyadic points
+    j * 2**-_TABLE_LEVELS, j = 0 .. 2**_TABLE_LEVELS, built on first use in
+    chunks so the build adds little peak memory beyond the table's own
+    512 KiB. Entry 0 is H(0) = 0; the two ends only bound the root
+    estimate's secant, the inner points are the bisection's own."""
+    size = 1 << _TABLE_LEVELS
+    table = np.empty(size + 1)
+    table[0] = 0.0
+    for start in range(1, size + 1, _TABLE_CHUNK):
+        points = np.arange(start, min(start + _TABLE_CHUNK, size + 1), dtype=np.float64)
+        table[start:start + points.size] = _mixture_entropy(points * _TABLE_STEP, vocab_size)
     table.flags.writeable = False
     return table
 
 
-def _newton_root(t, lo, level: int, vocab_size: int):
-    """Estimate each target's root in [lo, lo + 2**-level] by two Newton
-    steps from the midpoint, with the slope
-    H'(eps) = (1 - 1/V) * ln(p_top / p_rest). Each step is clipped to the
-    bracket, and a NaN step (a zero slope, or log 0 at eps = 0) gives lo.
-    A target that snaps to eps = 1 gives the bracket's top: H - ln V has a
-    double root at eps = 1, so Newton would only halve the distance per
-    step, while the loop moves up at every level until rounding noise.
-    Only the path read from the estimate depends on it, and the path is
-    checked, so it need not be exact."""
-    hi = lo + math.ldexp(1.0, -level)
-    eps = lo + math.ldexp(1.0, -level - 1)
-    scale = 1.0 - 1.0 / vocab_size
+def _root_estimate(t, lo, count, table, vocab_size: int):
+    """Estimate each target's root in its level-16 bracket
+    [lo, lo + 2**-16], whose ends are table entries count and count + 1:
+    the secant through the table's entropies there, then one Newton step.
+    The entropy's slope is infinite at eps = 0, where one step falls short
+    of level 48, so when a target lies in the first bracket (count 0) a
+    second step follows, from the first clipped to the bracket. The result
+    may leave the bracket or be NaN (a flat secant, or log 0 at eps = 0);
+    the caller clips it. Only the path read from the estimate depends on
+    it, and the path is checked, so it need not be exact."""
+    h_lo, h_hi = table[count], table[count + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(2):
-            p_top = 1.0 - scale * eps
-            p_rest = eps / vocab_size
-            log_top, log_rest = np.log(p_top), np.log(p_rest)
-            shortfall = t + (p_top * log_top + (vocab_size - 1) * (p_rest * log_rest))
-            step = eps + shortfall / (scale * (log_top - log_rest))
-            eps = np.fmin(np.fmax(step, lo), hi)  # fmax maps NaN to lo
-    return np.where(t >= math.log(vocab_size) - _TOP_SNAP, hi, eps)
+        eps = _newton_step(t, lo + (t - h_lo) / (h_hi - h_lo) * _TABLE_STEP, vocab_size)
+        if not count.all():
+            eps = _newton_step(t, np.fmin(np.fmax(eps, lo), lo + _TABLE_STEP), vocab_size)
+    return eps
 
 
-def _path_count(root, lo, level: int, width: int):
-    # The root's bracket count among the 2**width - 1 points that split
-    # [lo, lo + 2**-level] into 2**width cells; NaN reads as 0.
-    cells = np.floor((root - lo) * math.ldexp(1.0, level + width))
-    return np.fmin(np.fmax(cells, 0.0), (1 << width) - 1).astype(np.int64)
+def _newton_step(t, eps, vocab_size: int):
+    # One Newton step on H(eps) - t, with the closed-form slope
+    # H'(eps) = (1 - 1/V) * ln(p_top / p_rest).
+    scale = 1.0 - 1.0 / vocab_size
+    p_top = 1.0 - scale * eps
+    p_rest = eps / vocab_size
+    log_top, log_rest = np.log(p_top), np.log(p_rest)
+    shortfall = t + (p_top * log_top + (vocab_size - 1) * (p_rest * log_rest))
+    return eps + shortfall / (scale * (log_top - log_rest))
 
 
-def _monotone_along_path(above, past_bracket) -> bool:
-    """True when the bracket's path makes the bisection's own comparisons:
-    entropy above the target exactly at the points past the bracket."""
-    return bool((above == past_bracket).all())
+def _pass_bracket(t, top, table, vocab_size: int):
+    """The level-48 bracket count whose path the pass checks: the
+    target's level-16 bracket by searchsorted in the table, and the cell
+    of the root estimate inside it (clipped to the bracket; NaN reads as
+    its lo). A target that snaps to eps = 1 (`top`) takes the bracket's
+    top cell: H - ln V has a double root at eps = 1, so Newton would only
+    halve the distance per step, while the loop moves up at every level
+    until rounding noise."""
+    count = np.searchsorted(table[1:-1], t, side="right")
+    lo = count * _TABLE_STEP
+    cap = lo + _LAST_CELL
+    root = np.where(top, cap, _root_estimate(t, lo, count, table, vocab_size))
+    return (np.fmin(np.fmax(root, lo), cap) * math.ldexp(1.0, _PASS_LEVELS)).astype(np.int64)
 
 
-def solve_mixture_eps(targets, vocab_size: int, tol: float = 1e-9) -> np.ndarray:
+def _first_disagreement(above, past_bracket) -> int:
+    """The first row where the path's comparisons (its point past the
+    bracket) differ from the bisection's own (entropy above the target),
+    or the number of rows if none does."""
+    wrong = above != past_bracket
+    if not wrong.any():
+        return len(wrong)
+    return int(wrong.any(axis=1).argmax())
+
+
+def solve_mixture_eps(targets, vocab_size: int, tol: float = _TOL) -> np.ndarray:
     """Invert the mixture entropy curve by bisection; exact endpoints snap
-    to 0 and 1.
+    to 0 and 1. Targets must be numbers in [0, ln vocab_size]; anything
+    else, NaN included, raises ValueError.
 
     The mixture is (1 - eps) * point_mass + eps * uniform(vocab_size). The
     result is bit for bit that of the plain loop: bisect [0, 1], evaluate
@@ -453,90 +476,79 @@ def solve_mixture_eps(targets, vocab_size: int, tol: float = 1e-9) -> np.ndarray
     first where max|h - t| <= tol over all targets, or after 80 halvings.
 
     The loop's midpoints are dyadic, so a bracket count fixes a whole path
-    of them. A per-vocab table of the entropy at the first 16 levels'
-    points gives each target's level-16 bracket count by searchsorted. Two
-    Newton steps inside that bracket predict the root, whose level-48
-    bracket count gives the path's next 32 midpoints. Each block evaluates
-    h at its path (a gather from the table, one entropy call for the
-    predicted path) and finds the first level where the stop rule holds;
-    the path is accepted if the loop's comparisons at the levels before it
-    agree with it. Otherwise the plain loop resumes at the first level that
-    disagrees. The plain loop also resolves every level past 48, where one
-    more block would pass level 52 and lo + k * 2**-L could stop being
-    exactly 0.5 * (lo + hi).
+    of them, and one pass checks the first 48 levels' path at once. A
+    per-vocab table of the entropy at the first 16 levels' points gives
+    each target's level-16 bracket count by searchsorted. Inside that
+    bracket a secant through the table's two entropies and one Newton step
+    (two in the first bracket, where the slope is infinite at eps = 0)
+    estimate the root, whose level-48 bracket count fixes the path. Rows
+    1-16 of the (48, targets) path are gathered from the table and rows
+    17-48 come from one entropy call. The stop rule then finds the first
+    row where it holds, and one comparison check accepts the path if the
+    loop's comparisons at the rows before it agree with the path's.
+    Otherwise the plain loop resumes at the first row that disagrees, from
+    the bracket the path had there. The plain loop also resolves every
+    level past 48, where lo + k * 2**-L could stop being exactly
+    0.5 * (lo + hi).
     """
     t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
-    limit = math.log(vocab_size)
-    if np.any((t < 0.0) | (t > limit + 1e-12)):
-        raise ValueError("target entropy outside [0, ln vocab_size]")
-    lo = np.zeros_like(t)
-    level = 0  # bisection levels resolved; [lo, lo + 2**-level] brackets
-    for width in (_TABLE_LEVELS, _PATH_LEVELS):
-        # Point k of this block is lo + k * spacing, k = 1 .. 2**width - 1.
-        spacing = math.ldexp(1.0, -(level + width))
-        keep, half = _PATH_MASKS[width]
-        if level == 0:
-            table = _entropy_table(vocab_size)
-            count = np.searchsorted(table, t, side="right")
-            path = (count & keep) | half
-            h = table[path - 1]
-        else:
-            count = _path_count(_newton_root(t, lo, level, vocab_size), lo, level, width)
-            path = (count & keep) | half
-            h = _mixture_entropy(lo + path * spacing, vocab_size)
-        stop = np.abs(h - t).max(axis=1) <= tol
-        stop[0] &= level > 0  # the first midpoint is never checked
-        depth = int(stop.argmax()) if stop.any() else width
-        # Only the comparisons before the stop decide where the loop stops.
-        above, past_bracket = h[:depth] > t, path[:depth] > count
-        if _monotone_along_path(above, past_bracket):
-            if depth < width:
-                return _snap_endpoints(lo + path[depth] * spacing, t, limit)
-            lo = lo + count * spacing
-        else:
-            # The path is the loop's own up to its first disagreement (the
-            # block's start, if the check failed with none).
-            wrong = (above != past_bracket).any(axis=1)
-            resume = int(wrong.argmax()) if wrong.any() else 0
-            lo = lo + (count & keep[resume]) * spacing
-            lo, eps = _bisect(t, lo, level + resume, level + width, vocab_size, tol)
-            if eps is not None:
-                return _snap_endpoints(eps, t, limit)
-        level += width
-    _, eps = _bisect(t, lo, level, _MAX_ITERATIONS + 1, vocab_size, tol)
-    return _snap_endpoints(eps, t, limit)
+    if not ((t >= 0.0) & (t <= math.log(vocab_size) + 1e-12)).all():
+        raise ValueError("target entropy must be a number in [0, ln vocab_size]")
+    return _solve(t, vocab_size, tol)
 
 
-def _bisect(t, lo, level, last, vocab_size: int, tol: float):
-    """The plain loop on the bracket [lo, lo + 2**-level], over the
-    midpoints of levels level + 1 .. last. Returns the bracket's new lo and
-    the midpoint where the stop rule or the halving cap ended the solve, or
-    None if neither did."""
+def _solve(t, vocab_size: int, tol: float):
+    # solve_mixture_eps on targets known to lie in [0, ln vocab_size].
+    top = t >= math.log(vocab_size) - _TOP_SNAP
+    table = _entropy_table(vocab_size)
+    bracket = _pass_bracket(t, top, table, vocab_size)
+    path = (bracket & _PATH_KEEP) | _PATH_BIT
+    h = np.concatenate((table[path[:_TABLE_LEVELS] >> (_PASS_LEVELS - _TABLE_LEVELS)],
+                        _mixture_entropy(path[_TABLE_LEVELS:] * _PASS_STEP, vocab_size)))
+    stop = np.abs(h - t).max(axis=1) <= tol
+    stop[0] = False  # the first midpoint is never checked
+    depth = int(stop.argmax()) or _PASS_LEVELS  # argmax 0: no row stops
+    # Only the comparisons before the stop decide where the loop stops.
+    resume = _first_disagreement(h[:depth] > t, path[:depth] > bracket)
+    if resume < depth:
+        eps = _bisect(t, (bracket & _PATH_KEEP[resume]) * _PASS_STEP, resume,
+                      vocab_size, tol)
+    elif depth < _PASS_LEVELS:
+        eps = path[depth] * _PASS_STEP
+    else:
+        eps = _bisect(t, bracket * _PASS_STEP, _PASS_LEVELS, vocab_size, tol)
+    eps[t <= 0.0] = 0.0
+    eps[top] = 1.0
+    return eps
+
+
+def _bisect(t, lo, level: int, vocab_size: int, tol: float):
+    """The plain loop on the bracket [lo, lo + 2**-level], from the
+    midpoint of level level + 1 until the stop rule or the halving cap
+    ends the solve; returns that midpoint."""
     hi = lo + math.ldexp(1.0, -level)
-    for halvings in range(level, last):
+    for halvings in range(level, _MAX_ITERATIONS + 1):
         mid = 0.5 * (lo + hi)
         h = _mixture_entropy(mid, vocab_size)
         if halvings == _MAX_ITERATIONS or (
                 halvings > 0 and np.max(np.abs(h - t)) <= tol):
-            return lo, mid
+            return mid
         above = h > t
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    return lo, None
-
-
-def _snap_endpoints(eps, t, limit):
-    eps[t <= 0.0] = 0.0
-    eps[t >= limit - _TOP_SNAP] = 1.0
-    return eps
 
 
 def _token_entropies(eps, top_symbol, vocab_size: int) -> np.ndarray:
     """Entropy of each token's mixture (1 - eps) * point_mass(top_symbol) +
-    eps * uniform(vocab_size), one row of the (tokens, vocab) matrix each."""
+    eps * uniform(vocab_size), one row of the (tokens, vocab) matrix each.
+    With every eps positive (eps is at least 2**-81), every entry is, so
+    x log x needs no zero mask and each row sum is negative, never -0: the
+    bits are those of the masked form."""
     count = eps.shape[0]
     dists = np.repeat((eps / vocab_size)[:, None], vocab_size, axis=1)
     dists[np.arange(count), top_symbol] += 1.0 - eps
+    if eps.min() > 0.0:
+        return -np.add.reduce(dists * np.log(dists), axis=1)
     return -_xlogx(dists).sum(axis=1) + 0.0
 
 
@@ -572,9 +584,12 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
     count = profile.tokens_per_response
     vocab = profile.vocab_size
     if jitter > 0.0:
-        targets = np.clip(target + jitter * rng.standard_normal(count),
-                          0.0, math.log(vocab))
-        eps = solve_mixture_eps(targets, vocab)
+        # np.clip's bits for finite input, without its dispatch; the
+        # profile admits only finite targets and jitters, so the clipped
+        # targets need no range check.
+        targets = np.minimum(np.maximum(target + jitter * rng.standard_normal(count),
+                                        0.0), math.log(vocab))
+        eps = _solve(targets, vocab, _TOL)
         top_symbol, nonce = _mock_draws(rng, count, vocab)
         entropies = _token_entropies(eps, top_symbol, vocab)
     else:

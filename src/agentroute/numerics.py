@@ -8,6 +8,7 @@ exponentials overflow easily.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -99,9 +100,24 @@ def field_at(container, index: int) -> str:
 
 
 def global_norm(container) -> float:
-    # A dot product per tensor sums the squares without a squared copy.
+    """The L2 norm of all the container's arrays as one vector. A dot
+    product per tensor sums the squares without a squared copy. Only when
+    that sum overflows while every entry is finite are the squares summed
+    again over the entries divided by the largest magnitude, so a finite
+    gradient never reads as an infinite norm and a finite sum keeps its
+    bits."""
     total = 0.0
-    for _, arr in iter_arrays(container):
-        flat = arr.ravel()
-        total += float(np.dot(flat, flat))
-    return float(np.sqrt(total))
+    with np.errstate(over="ignore"):
+        for _, arr in iter_arrays(container):
+            flat = arr.ravel()
+            total += float(np.dot(flat, flat))
+    if math.isfinite(total) or not all(
+            np.isfinite(arr).all() for _, arr in iter_arrays(container)):
+        return float(np.sqrt(total))
+    arrays = [arr for _, arr in iter_arrays(container) if arr.size]
+    largest = max(float(np.abs(arr).max()) for arr in arrays)
+    scaled = 0.0
+    for arr in arrays:
+        flat = arr.ravel() / largest
+        scaled += float(np.dot(flat, flat))
+    return largest * math.sqrt(scaled)

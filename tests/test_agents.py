@@ -243,23 +243,51 @@ def _assert_matches_reference(targets, vocab, tol=1e-9):
 
 
 def _record_path_checks(monkeypatch):
+    # One entry per comparison check: True where the path agreed with the
+    # bisection's comparisons at every row it was checked on.
     checks = []
-    check = agents._monotone_along_path
+    check = agents._first_disagreement
 
-    def recorded(*args):
-        checks.append(check(*args))
-        return checks[-1]
+    def recorded(above, past_bracket):
+        row = check(above, past_bracket)
+        checks.append(row == len(above))
+        return row
 
-    monkeypatch.setattr(agents, "_monotone_along_path", recorded)
+    monkeypatch.setattr(agents, "_first_disagreement", recorded)
     return checks
+
+
+def _solve_cases():
+    def case(vocab):
+        limit = math.log(vocab)
+        return st.tuples(st.lists(st.floats(0.0, limit + 1e-12), min_size=1, max_size=40),
+                         st.just(vocab), st.sampled_from([1e-9, 1e-12, 0.0]))
+    return st.sampled_from(VOCABS).flatmap(case)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_solve_cases())
+def test_solve_mixture_eps_matches_reference_on_any_targets(case):
+    # Any targets in [0, ln vocab], the shape's edge cases included: 0,
+    # subnormals, ln vocab itself and values within 1e-12 above it.
+    targets, vocab, tol = case
+    _assert_matches_reference(np.array(targets), vocab, tol)
+
+
+@pytest.mark.parametrize("targets", [[math.nan], [0.5, math.nan], [math.inf],
+                                     [-math.inf, 1.0], [-1e-300]])
+def test_solve_mixture_eps_rejects_targets_that_are_not_numbers_in_range(targets):
+    with pytest.raises(ValueError, match="target entropy must be a number"):
+        solve_mixture_eps(targets, 16)
 
 
 @pytest.mark.parametrize("vocab", VOCABS)
 def test_solve_mixture_eps_matches_reference_on_jittered_targets(vocab, monkeypatch):
     # The shape of mock_execute's input: up to 12 targets jittered around a
-    # centre and clipped to [0, ln vocab]. No block goes to the plain loop,
-    # not even with a target clipped to ln vocab, where the entropy is flat
-    # to rounding: the path predicted for it runs up at every level.
+    # centre and clipped to [0, ln vocab]. Each solve runs one comparison
+    # check, and no path goes to the plain loop, not even with a target
+    # clipped to ln vocab, where the entropy is flat to rounding: the path
+    # predicted for it runs up at every level.
     checks = _record_path_checks(monkeypatch)
     rng = np.random.default_rng(1000 + vocab)
     limit = math.log(vocab)
@@ -270,7 +298,7 @@ def test_solve_mixture_eps_matches_reference_on_jittered_targets(vocab, monkeypa
         targets = np.clip(centre + jitter * rng.standard_normal(count), 0.0, limit)
         checks.clear()
         _assert_matches_reference(targets, vocab)
-        assert checks and all(checks)
+        assert checks == [True]
 
 
 @pytest.mark.parametrize("vocab", VOCABS)
@@ -286,7 +314,7 @@ def test_solve_mixture_eps_stops_on_table_entries(vocab, monkeypatch):
     for level in range(1, levels + 1):
         odd = 2 * rng.integers(0, 1 << (level - 1), size=3) + 1
         index = odd << (levels - level)
-        targets = table[index - 1]
+        targets = table[index]
         if np.any(targets >= math.log(vocab) - 1e-15):
             continue  # those would snap to 1
         eps = _assert_matches_reference(targets, vocab)
@@ -330,46 +358,48 @@ def test_solve_mixture_eps_matches_reference_at_deep_levels(vocab, tol):
 
 @pytest.mark.parametrize("failing", ["every block", "table", "path", "alternate"])
 def test_solve_mixture_eps_fallback_loop_matches_reference(monkeypatch, failing):
-    # Declare some blocks not monotone along the path, so the plain loop
-    # resolves those levels; the predicted path still follows a failed
-    # table. Block 0 is the table and block 1 the path, so "alternate"
-    # fails the path only.
-    fails = {"every block": lambda block: True,
-             "table": lambda block: block == 0,
-             "path": lambda block: block == 1,
-             "alternate": lambda block: block % 2 == 1}[failing]
-    blocks = []
-    check = agents._monotone_along_path
+    # Declare the path wrong from some row on, so the plain loop resolves
+    # the levels from there: row 0 ("every block": the whole solve), a
+    # table row, a predicted-path row, or row 0 on every other solve
+    # ("alternate": a solve after a fallback starts clean). A forced row
+    # never lies past the real first disagreement, so it is always safe.
+    forced = {"every block": lambda solve: 0,
+              "table": lambda solve: 9,
+              "path": lambda solve: 20,
+              "alternate": lambda solve: 0 if solve % 2 else None}[failing]
+    checks = []
+    check = agents._first_disagreement
 
-    def monotone_unless_failing(above, past_bracket):
-        # A forced failure is always safe; a path that really disagrees
-        # must still fail.
-        blocks.append(None)
-        return not fails(len(blocks) - 1) and check(above, past_bracket)
+    def disagreeing_early(above, past_bracket):
+        row, real = forced(solves), check(above, past_bracket)
+        checks.append(real)
+        return real if row is None else min(row, real)
 
-    monkeypatch.setattr(agents, "_monotone_along_path", monotone_unless_failing)
+    monkeypatch.setattr(agents, "_first_disagreement", disagreeing_early)
     rng = np.random.default_rng(5000)
+    solves = 0
     for vocab in VOCABS:
         limit = math.log(vocab)
         for tol in (1e-9, 0.0):
             for count in (1, 12):
-                blocks.clear()
+                checks.clear()
                 targets = rng.uniform(0.0, limit, size=count)
                 if count > 1:
                     targets[0] = limit
                 _assert_matches_reference(targets, vocab, tol)
-                assert len(blocks) == 2
+                assert len(checks) == 1  # one comparison check per solve
+                solves += 1
 
 
 @pytest.mark.parametrize("estimate", ["lo", "hi", "nan"])
 def test_solve_mixture_eps_survives_a_useless_root_estimate(monkeypatch, estimate):
-    # The Newton estimate only picks the path to check: the bracket's ends,
+    # The root estimate only picks the path to check: the bracket's ends,
     # or NaN, give wrong paths, and the plain loop must repair them.
-    def root_at(t, lo, level, vocab_size):
-        return {"lo": lo, "hi": lo + 2.0 ** -level,
+    def root_at(t, lo, count, table, vocab_size):
+        return {"lo": lo, "hi": lo + 2.0 ** -agents._TABLE_LEVELS,
                 "nan": np.full_like(lo, np.nan)}[estimate]
 
-    monkeypatch.setattr(agents, "_newton_root", root_at)
+    monkeypatch.setattr(agents, "_root_estimate", root_at)
     rng = np.random.default_rng(6000)
     for vocab in VOCABS:
         limit = math.log(vocab)
@@ -378,36 +408,53 @@ def test_solve_mixture_eps_survives_a_useless_root_estimate(monkeypatch, estimat
                 _assert_matches_reference(rng.uniform(0.0, limit, size=count), vocab, tol)
 
 
-@pytest.mark.parametrize("row", [0, 7, 20])
+@pytest.mark.parametrize("row", range(48))
 def test_solve_mixture_eps_resumes_where_the_path_disagrees(monkeypatch, row):
-    # Flip one bit of the predicted level-48 bracket count: the path keeps
-    # its midpoints up to that row but makes the wrong comparison there, so
-    # the plain loop must take over at exactly that level. Tiny tol keeps
-    # the stop rule from ending the solve inside the path.
-    newton_root, path_count = agents._newton_root, agents._path_count
-    width = agents._PATH_LEVELS
+    # Flip bit 47 - row of the level-48 bracket count the pass checks: the
+    # path keeps its points through row `row` (level row + 1) but makes the
+    # wrong comparison there, so the plain loop must resume at exactly
+    # level `row`, from the bracket the path had there. tol = 0 keeps the
+    # stop rule from ending the solve inside the pass. The targets are
+    # ones whose own path agrees with the loop through all 48 rows: at the
+    # deepest rows rounding noise in the entropy, not the root, can decide
+    # the loop's comparisons, and a real disagreement before the flipped
+    # row would resume there instead.
+    check = agents._first_disagreement
+    checked = []
 
-    def flipped_root(t, lo, level, vocab_size):
-        count = path_count(newton_root(t, lo, level, vocab_size), lo, level, width)
-        return lo + ((count ^ (1 << (width - 1 - row))) + 0.5) * 2.0 ** -(level + width)
+    def recorded(above, past_bracket):
+        checked.append((check(above, past_bracket), len(above)))
+        return checked[-1][0]
 
-    resumed = []
-    bisect = agents._bisect
-
-    def recorded_bisect(t, lo, level, last, vocab_size, tol):
-        resumed.append(level)
-        return bisect(t, lo, level, last, vocab_size, tol)
-
-    monkeypatch.setattr(agents, "_newton_root", flipped_root)
-    monkeypatch.setattr(agents, "_bisect", recorded_bisect)
-    rng = np.random.default_rng(7000 + row)
+    monkeypatch.setattr(agents, "_first_disagreement", recorded)
+    rng = np.random.default_rng(7100 + row)
+    cases = []
     for vocab in VOCABS:
-        limit = math.log(vocab)
-        for tol in (1e-15, 0.0):
-            for count in (1, 12):
-                resumed.clear()
-                _assert_matches_reference(rng.uniform(0.0, limit, size=count), vocab, tol)
-                assert resumed[0] == agents._TABLE_LEVELS + row
+        for count in (1, 12):
+            while True:
+                targets = rng.uniform(0.0, math.log(vocab), size=count)
+                checked.clear()
+                solve_mixture_eps(targets, vocab, 0.0)
+                if checked == [(48, 48)]:
+                    break
+            cases.append((targets, vocab))
+
+    pass_bracket, bisect = agents._pass_bracket, agents._bisect
+    resumed = []
+
+    def flipped(*args):
+        return pass_bracket(*args) ^ (1 << (agents._PASS_LEVELS - 1 - row))
+
+    def recorded_bisect(t, lo, level, vocab_size, tol):
+        resumed.append(level)
+        return bisect(t, lo, level, vocab_size, tol)
+
+    monkeypatch.setattr(agents, "_pass_bracket", flipped)
+    monkeypatch.setattr(agents, "_bisect", recorded_bisect)
+    for targets, vocab in cases:
+        resumed.clear()
+        _assert_matches_reference(targets, vocab, 0.0)
+        assert resumed == [row]
 
 
 @pytest.mark.parametrize("vocab", VOCABS)
@@ -624,6 +671,17 @@ def test_mock_profile_rejects_bad_targets():
         MockProfile(agent_id=0, skill_map={"default": (99.0, 0.0)})
     with pytest.raises(ConfigError, match="jitter"):
         MockProfile(agent_id=0, skill_map={"default": (0.5, -1.0)})
+
+
+@pytest.mark.parametrize("entry, what", [((1.0, math.nan), "jitter"),
+                                         ((1.0, math.inf), "jitter"),
+                                         ((math.nan, 0.0), "target entropy"),
+                                         ((math.inf, 0.1), "target entropy")])
+def test_mock_profile_rejects_non_finite_skills(entry, what):
+    # A NaN jitter would act as zero jitter, and an infinite one would pin
+    # every token's target to 0 or ln vocab.
+    with pytest.raises(ConfigError, match=what):
+        MockProfile(agent_id=0, skill_map={"default": entry})
 
 
 @pytest.mark.parametrize("vocab", [1, 2**32 + 1])

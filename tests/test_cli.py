@@ -453,6 +453,18 @@ def test_main_reports_an_unknown_tag_without_default(tmp_path, capsys, command):
         r" 'poetry' and no default\n", err), err
 
 
+@pytest.mark.parametrize("skill", ["alpha:2.0:nan", "alpha:nan:0.1", "alpha:2.0:inf",
+                                   "alpha:2.0:x"])
+def test_main_reports_a_non_finite_skill_as_one_error_line(tmp_path, capsys, skill):
+    config = write_config(tmp_path / "run.conf", skills=[skill])
+    capsys.readouterr()
+    assert main(["infer", "--config", str(config), "--query", "[tag:alpha] q"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: \S+:\d+: skill entropy and jitter must be finite"
+                        r" numbers\n", err), err
+
+
 # Port 9 (discard) has no listener, so every request is refused at once.
 DEAD_ENDPOINT = "http://127.0.0.1:9/v1"
 

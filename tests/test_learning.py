@@ -233,6 +233,26 @@ def test_clip_norm_equals_min_of_norm_and_budget():
         assert np.all(np.abs(out.b) <= np.abs(grads.b) + 1e-15)
 
 
+def test_clip_scales_a_finite_gradient_whose_squares_overflow():
+    # The squared norm of [1e200, 1] overflows, but the gradient is finite:
+    # it must come out scaled to the clip norm, not zeroed, and without an
+    # overflow warning.
+    grads = Toy(a=np.array([1e200, 1.0]), b=np.array([-1e199]))
+    norm = global_norm(grads)
+    assert norm == pytest.approx(math.hypot(1e200, 1e199), rel=1e-15)
+    out = clip_gradients(grads, 1.0)
+    assert out.a[0] == pytest.approx(1e200 / norm, rel=1e-15)
+    assert out.b[0] == pytest.approx(-1e199 / norm, rel=1e-15)
+    assert global_norm(out) == pytest.approx(1.0, rel=1e-15)
+    one = Toy(a=np.array([1e200, 1.0]), b=np.zeros(0))
+    assert clip_gradients(one, 1.0).a.tolist() == [1.0, 1e-200]
+
+
+def test_global_norm_of_non_finite_entries_stays_non_finite():
+    assert global_norm(Toy(a=np.array([np.inf, 1e200]), b=np.ones(2))) == math.inf
+    assert math.isnan(global_norm(Toy(a=np.array([np.nan, 1e200]), b=np.ones(2))))
+
+
 def test_global_norm_matches_fsum_reference():
     rng = np.random.default_rng(31)
     for rows, cols in ((3, 2), (40, 30), (300, 200)):
