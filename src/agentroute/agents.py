@@ -265,9 +265,9 @@ class MockProfile:
     levels at once, bit for bit as the plain loop (see solve_mixture_eps).
     A per-vocab entropy table, built on first use, gives the first 16
     levels; a secant inside the table's level-16 bracket and one Newton
-    step (two in the first bracket) estimate the root, which fixes the
-    next 32. One stop rule and one comparison check run over all 48
-    levels, and the plain loop resumes only where the path disagrees.
+    step estimate the root, which fixes the next 32. One stop rule and
+    one comparison check run over all 48 levels, and the plain loop
+    resumes only where the path disagrees.
     Targets and jitters must be finite.
 
     A call's draws come from a PCG64 generator seeded with the call's
@@ -415,18 +415,15 @@ def _root_estimate(t, lo, count, table, vocab_size: int):
     """Estimate each target's root in its level-16 bracket
     [lo, lo + 2**-16], whose ends are table entries count and count + 1:
     the secant through the table's entropies there, then one Newton step.
-    The entropy's slope is infinite at eps = 0, where one step falls short
-    of level 48, so when a target lies in the first bracket (count 0) a
-    second step follows, from the first clipped to the bracket. The result
-    may leave the bracket or be NaN (a flat secant, or log 0 at eps = 0);
-    the caller clips it. Only the path read from the estimate depends on
-    it, and the path is checked, so it need not be exact."""
+    The result may leave the bracket or be NaN (a flat secant, or log 0 at
+    eps = 0); the caller clips it. Only the path read from the estimate
+    depends on it, and the path is checked, so it need not be exact: in
+    the first bracket (count 0), where the slope is infinite at eps = 0,
+    one step can fall short of level 48, and the plain loop resolves the
+    levels from the first wrong one."""
     h_lo, h_hi = table[count], table[count + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps = _newton_step(t, lo + (t - h_lo) / (h_hi - h_lo) * _TABLE_STEP, vocab_size)
-        if not count.all():
-            eps = _newton_step(t, np.fmin(np.fmax(eps, lo), lo + _TABLE_STEP), vocab_size)
-    return eps
+        return _newton_step(t, lo + (t - h_lo) / (h_hi - h_lo) * _TABLE_STEP, vocab_size)
 
 
 def _newton_step(t, eps, vocab_size: int):
@@ -480,7 +477,6 @@ def solve_mixture_eps(targets, vocab_size: int, tol: float = _TOL) -> np.ndarray
     per-vocab table of the entropy at the first 16 levels' points gives
     each target's level-16 bracket count by searchsorted. Inside that
     bracket a secant through the table's two entropies and one Newton step
-    (two in the first bracket, where the slope is infinite at eps = 0)
     estimate the root, whose level-48 bracket count fixes the path. Rows
     1-16 of the (48, targets) path are gathered from the table and rows
     17-48 come from one entropy call. The stop rule then finds the first

@@ -9,7 +9,6 @@ byte-identical output artifacts.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -186,11 +185,9 @@ def _parse_skills(section: _Section, key: str) -> dict:
             target = float(parts[1])
             jitter = float(parts[2]) if len(parts) == 3 else 0.0
         except ValueError:
-            target = jitter = math.nan
-        if not (math.isfinite(target) and math.isfinite(jitter)):
             line = section.entries[key][1]
             raise ConfigError(
-                f"{section.path}:{line}: skill entropy and jitter must be finite numbers")
+                f"{section.path}:{line}: skill entropy and jitter must be numbers")
         skills[parts[0].strip()] = (target, jitter)
     return skills
 

@@ -453,16 +453,21 @@ def test_main_reports_an_unknown_tag_without_default(tmp_path, capsys, command):
         r" 'poetry' and no default\n", err), err
 
 
-@pytest.mark.parametrize("skill", ["alpha:2.0:nan", "alpha:nan:0.1", "alpha:2.0:inf",
-                                   "alpha:2.0:x"])
-def test_main_reports_a_non_finite_skill_as_one_error_line(tmp_path, capsys, skill):
+@pytest.mark.parametrize("skill, message", [
+    ("alpha:2.0:nan", r"jitter for tag 'alpha' must be finite and non-negative"),
+    ("alpha:2.0:inf", r"jitter for tag 'alpha' must be finite and non-negative"),
+    ("alpha:nan:0.1", r"target entropy for tag 'alpha' must lie in \[0, ln vocab_size\]"),
+    ("alpha:2.0:x", r"\S+:\d+: skill entropy and jitter must be numbers"),
+], ids=["nan-jitter", "inf-jitter", "nan-target", "not-a-number"])
+def test_main_reports_a_non_finite_skill_as_one_error_line(tmp_path, capsys, skill, message):
+    # The config parser rejects what is not a number; the profile rejects a
+    # NaN or infinite one.
     config = write_config(tmp_path / "run.conf", skills=[skill])
     capsys.readouterr()
     assert main(["infer", "--config", str(config), "--query", "[tag:alpha] q"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert re.fullmatch(r"error: \S+:\d+: skill entropy and jitter must be finite"
-                        r" numbers\n", err), err
+    assert re.fullmatch(f"error: {message}\n", err), err
 
 
 # Port 9 (discard) has no listener, so every request is refused at once.
