@@ -465,7 +465,7 @@ def _first_disagreement(above, past_bracket) -> int:
 def solve_mixture_eps(targets, vocab_size: int, tol: float = _TOL) -> np.ndarray:
     """Invert the mixture entropy curve by bisection; exact endpoints snap
     to 0 and 1. Targets must be numbers in [0, ln vocab_size]; anything
-    else, NaN included, raises ValueError.
+    else, NaN included, raises ValueError. No targets give an empty array.
 
     The mixture is (1 - eps) * point_mass + eps * uniform(vocab_size). The
     result is bit for bit that of the plain loop: bisect [0, 1], evaluate
@@ -490,7 +490,7 @@ def solve_mixture_eps(targets, vocab_size: int, tol: float = _TOL) -> np.ndarray
     t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
     if not ((t >= 0.0) & (t <= math.log(vocab_size) + 1e-12)).all():
         raise ValueError("target entropy must be a number in [0, ln vocab_size]")
-    return _solve(t, vocab_size, tol)
+    return _solve(t, vocab_size, tol) if t.size else np.empty(0)
 
 
 def _solve(t, vocab_size: int, tol: float):

@@ -9,6 +9,7 @@ byte-identical output artifacts.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -121,9 +122,12 @@ class _Section:
                     f"{self.path}: missing required key '{key}' in [{self.name}]")
             return default
         try:
-            return float(raw)
+            value = float(raw)
+            if not math.isnan(value):
+                return value
         except ValueError:
-            self._fail(key, "a number")
+            pass
+        self._fail(key, "a number")
 
     def finish(self):
         for key, (_, line) in self.entries.items():

@@ -14,8 +14,8 @@ import numpy as np
 from .core import RouterConfig, derive_seed
 from .learning import confidence, ranking_loss, ranking_loss_grad, total_loss
 from .numerics import softmax, softmax_vjp
-from .router import backward_trajectory, flat_to_params, \
-    forward_trajectory, init_params, params_to_flat, reduce_gradients
+from .router import RouterParams, backward_trajectory, forward_trajectory, \
+    init_params, reduce_gradients
 
 
 def _trajectory_loss(query_emb, responses, conf_targets, params, config) -> float:
@@ -60,22 +60,21 @@ def gradient_check(seed: int = 0, *, pool_size: int = 6, embed_dim: int = 16,
     conf_targets = [confidence(rng.uniform(0.1, 2.5, size=pool_size))
                     for _ in range(steps)]
 
-    analytic = params_to_flat(_analytic_gradient(query_emb, responses,
-                                                 conf_targets, params, config))
+    analytic = _analytic_gradient(query_emb, responses, conf_targets, params,
+                                  config).flat
     if corrupt:
         analytic = analytic.copy()
         analytic[0] += 1e-3
 
-    flat = params_to_flat(params)
+    flat = params.flat
     numeric = np.zeros_like(flat)
+    bumped = RouterParams(flat.copy(), embed_dim, pool_size)
     for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + fd_step
-        loss_plus = _trajectory_loss(query_emb, responses, conf_targets,
-                                     flat_to_params(bumped, params), config)
-        bumped[i] = flat[i] - fd_step
-        loss_minus = _trajectory_loss(query_emb, responses, conf_targets,
-                                      flat_to_params(bumped, params), config)
+        bumped.flat[i] = flat[i] + fd_step
+        loss_plus = _trajectory_loss(query_emb, responses, conf_targets, bumped, config)
+        bumped.flat[i] = flat[i] - fd_step
+        loss_minus = _trajectory_loss(query_emb, responses, conf_targets, bumped, config)
+        bumped.flat[i] = flat[i]
         numeric[i] = (loss_plus - loss_minus) / (2.0 * fd_step)
 
     scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-12)

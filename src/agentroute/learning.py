@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import field_at, flatten, global_norm, iter_arrays, sigmoid, \
-    softmax, softplus, unflatten
+from .numerics import global_norm, sigmoid, softmax, softplus
+from .router import RouterParams, _tensor_at
 
 LOSS_KINDS = ("ranking", "mse", "listmle", "triplet")
 
@@ -159,16 +159,14 @@ def total_loss(per_step_losses) -> float:
     return float(np.mean(losses))
 
 
-def clip_gradients(grads, clip_norm: float):
-    """Scale all gradients in place so the global L2 norm is at most
-    clip_norm; returns the same container."""
+def clip_gradients(grads: RouterParams, clip_norm: float) -> RouterParams:
+    """Scale the gradients' flat vector in place so the global L2 norm is
+    at most clip_norm; returns the same gradients."""
     if clip_norm <= 0.0:
         raise ValueError("clip_norm must be positive")
-    norm = global_norm(grads)
+    norm = global_norm(grads.tensors())
     if norm > clip_norm:
-        scale = clip_norm / norm
-        for _, arr in iter_arrays(grads):
-            arr *= scale
+        grads.flat *= clip_norm / norm
     return grads
 
 
@@ -192,39 +190,38 @@ class OptimizerState:
     """AdamW state: the step count, the hyperparameters, and buffers that
     are all None until first used, so setting up an optimizer costs
     nothing. `moments` holds the first moment in row 0 and the second in
-    row 1, each row laid out like the parameters' flat vector. `params` is
-    the flat parameter vector the state owns: `adamw_step` writes its first
-    update there, and updates it in place on every later step that is given
-    the parameters the previous step returned. `scratch` holds the update's
-    intermediates, and `grads` is the gradient container the training loop
-    asks `reduce_gradients` to fill for every batch."""
+    row 1, each row laid out like the parameters' flat vector. `params` are
+    the parameters the state owns: `adamw_step` returns them, writes its
+    first update into them, and updates them in place on every later step
+    that is given them back. `scratch` holds the update's intermediates,
+    and `grads` are the gradients the training loop asks `reduce_gradients`
+    to fill for every batch."""
 
     step_count: int
     hyper: AdamWHyper
     moments: np.ndarray | None = None
-    params: np.ndarray | None = None
+    params: RouterParams | None = None
     scratch: np.ndarray | None = None
-    grads: object = None
+    grads: RouterParams | None = None
 
 
 def init_optimizer(params, hyper: AdamWHyper) -> OptimizerState:
     return OptimizerState(step_count=0, hyper=hyper)
 
 
-def adamw_step(params, grads, state: OptimizerState):
+def adamw_step(params: RouterParams, grads: RouterParams,
+               state: OptimizerState) -> RouterParams:
     """Decoupled-weight-decay Adam with bias correction.
 
-    Mutates the optimizer state in place and returns the updated parameter
-    container, whose tensors are views into the state's own flat vector,
-    `state.params`. The first step of a state, or a step given parameters
-    that are not views of that vector, writes the update into a new vector
-    and leaves the input parameters untouched; a step given the parameters
-    the previous step returned updates that vector in place and returns
-    them, so a training loop allocates no parameter-sized buffer after its
-    first step. The update runs over the flat vectors of the parameters,
-    the gradients (copied into one first when they are not flat-backed, see
-    `numerics.flatten`) and the moments, ADAMW_CHUNK elements at a time,
-    with intermediates in a scratch buffer of two chunks. Per element it
+    Mutates the optimizer state in place and returns the updated
+    parameters, which are the state's own, `state.params`. Given
+    `state.params` itself, the step updates them in place, so a training
+    loop allocates no parameter-sized buffer after its first step. Given any
+    other parameters, as on a state's first step, it writes the update into
+    new parameters that become `state.params` and leaves the input
+    untouched. The update runs over the flat vectors of the parameters, the
+    gradients and the moments, ADAMW_CHUNK elements at a time, with
+    intermediates in a scratch buffer of two chunks. Per element it
     keeps the operation order of
         m = beta1 m + (1 - beta1) g
         v = beta2 v + (1 - beta2) g^2
@@ -234,20 +231,20 @@ def adamw_step(params, grads, state: OptimizerState):
     tensor and leaves the state, parameters included, partly updated.
     """
     hyper = state.hyper
-    p_all, g_all = flatten(params), flatten(grads)
+    p_all, g_all = params.flat, grads.flat
     if state.moments is None:
         state.moments = np.zeros((2, p_all.size))
         state.scratch = np.empty((2, ADAMW_CHUNK))
-    in_place = p_all is state.params
-    if not in_place:
-        state.params = np.empty(p_all.size)
+    if params is not state.params:
+        state.params = RouterParams(np.empty(p_all.size), params.embed_dim,
+                                    params.pool_size)
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - hyper.beta1 ** t
     bias2 = 1.0 - hyper.beta2 ** t
     for start in range(0, p_all.size, ADAMW_CHUNK):
         chunk = slice(start, start + ADAMW_CHUNK)
-        p, g, new = p_all[chunk], g_all[chunk], state.params[chunk]
+        p, g, new = p_all[chunk], g_all[chunk], state.params.flat[chunk]
         m, v = state.moments[:, chunk]
         a, b = state.scratch[:, :p.size]
         m *= hyper.beta1
@@ -267,8 +264,6 @@ def adamw_step(params, grads, state: OptimizerState):
         finite = np.isfinite(new)
         if not finite.all():
             bad = start + int(np.argmin(finite))
-            raise ValueError(f"non-finite optimizer update for {field_at(params, bad)}")
-    if in_place:
-        return params
-    shapes = {name: arr.shape for name, arr in iter_arrays(params)}
-    return unflatten(state.params, shapes, type(params))
+            name = _tensor_at(params.embed_dim, params.pool_size, bad)
+            raise ValueError(f"non-finite optimizer update for {name}")
+    return state.params

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RouterConfig, derive_seed, validate_config
-from .numerics import flatten, iter_arrays, sigmoid, softmax, softmax_vjp, \
-    unflatten
+from .numerics import sigmoid, softmax, softmax_vjp
 
 _SNAPSHOT_MAGIC = b"ARPS"
 _SNAPSHOT_VERSION = 1
@@ -48,41 +47,46 @@ PARAM_FIELDS = ("w_r", "w_u", "w_n", "u_r", "u_u", "u_n",
                 "b_r", "b_u", "b_in", "b_hn", "w_out", "b_out")
 
 
-@dataclass
 class RouterParams:
     """All trainable tensors: GRU input/recurrent weights and biases plus
-    the linear head. Shapes are (d, d) for weights, (d,) for biases,
-    (n, d) and (n,) for the head.
+    the linear head, with shapes (d, d) for weights, (d,) for biases, (n, d)
+    and (n,) for the head.
 
-    Every RouterParams the library builds (init_params, load_params,
-    reduce_gradients, flat_to_params, and adamw_step, whose vector is the
-    optimizer state's own and is updated in place by later steps) is
-    flat-backed: its tensors are C-contiguous views into one float64
-    vector, laid out in PARAM_FIELDS order, which `params_to_flat` returns
-    without a copy. Writing to a tensor writes to that vector. A
-    RouterParams built from separate arrays works everywhere too, at the
-    cost of a copy wherever the flat vector is needed."""
+    The parameters own `flat`, one C-contiguous float64 vector of
+    `_param_count(embed_dim, pool_size)` entries; any other vector raises
+    ValueError. The tensors are attributes set once here, C-contiguous views
+    into `flat` laid out in PARAM_FIELDS order, so writing to a tensor
+    writes to `flat` and reading one builds nothing. Snapshots, clipping and
+    AdamW work on `flat`, so rebinding any attribute to another object
+    raises AttributeError: a tensor rebound to another array would not be
+    seen there."""
 
-    w_r: np.ndarray
-    w_u: np.ndarray
-    w_n: np.ndarray
-    u_r: np.ndarray
-    u_u: np.ndarray
-    u_n: np.ndarray
-    b_r: np.ndarray
-    b_u: np.ndarray
-    b_in: np.ndarray
-    b_hn: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
+    __slots__ = ("flat", "embed_dim", "pool_size") + PARAM_FIELDS
 
-    @property
-    def embed_dim(self) -> int:
-        return self.w_r.shape[0]
+    def __init__(self, flat: np.ndarray, embed_dim: int, pool_size: int):
+        count = _param_count(embed_dim, pool_size)
+        if not (isinstance(flat, np.ndarray) and flat.ndim == 1
+                and flat.dtype == np.float64 and flat.flags.c_contiguous
+                and flat.size == count):
+            raise ValueError(
+                f"router parameters need a C-contiguous 1-D float64 vector of"
+                f" {count} entries for embed_dim={embed_dim}, pool_size={pool_size}")
+        self.flat, self.embed_dim, self.pool_size = flat, embed_dim, pool_size
+        offset = 0
+        for name, shape in _param_shapes(embed_dim, pool_size).items():
+            size = math.prod(shape)
+            setattr(self, name, flat[offset: offset + size].reshape(shape))
+            offset += size
 
-    @property
-    def pool_size(self) -> int:
-        return self.b_out.shape[0]
+    def __setattr__(self, name, value):
+        # An in-place operator such as `params.flat *= s` sets the same object.
+        if hasattr(self, name) and getattr(self, name) is not value:
+            raise AttributeError(f"RouterParams.{name} is set once; write into it")
+        object.__setattr__(self, name, value)
+
+    def tensors(self) -> list:
+        """The tensors in PARAM_FIELDS order."""
+        return [getattr(self, name) for name in PARAM_FIELDS]
 
 
 def init_params(config: RouterConfig) -> RouterParams:
@@ -93,7 +97,7 @@ def init_params(config: RouterConfig) -> RouterParams:
     rng = np.random.default_rng(derive_seed(config.seed, "router-init"))
     bound = 1.0 / np.sqrt(d)
     # One draw equals one draw per tensor in PARAM_FIELDS order.
-    return _params_view(rng.uniform(-bound, bound, size=_param_count(d, n)), d, n)
+    return RouterParams(rng.uniform(-bound, bound, size=_param_count(d, n)), d, n)
 
 
 def _param_shapes(d: int, n: int) -> dict:
@@ -115,21 +119,6 @@ def _tensor_at(d: int, n: int, index: int) -> str:
             return name
         index -= math.prod(shape)
     raise IndexError("index past the last tensor")
-
-
-def _params_view(flat: np.ndarray, d: int, n: int) -> RouterParams:
-    return unflatten(flat, _param_shapes(d, n), RouterParams)
-
-
-def params_to_flat(params: RouterParams) -> np.ndarray:
-    """The parameters as one vector in PARAM_FIELDS order: the backing
-    vector itself for flat-backed parameters, else a copy."""
-    return flatten(params)
-
-
-def flat_to_params(flat: np.ndarray, like: RouterParams) -> RouterParams:
-    """Parameters shaped like `like` whose tensors are views into `flat`."""
-    return _params_view(flat, like.embed_dim, like.pool_size)
 
 
 def init_state(dim: int) -> np.ndarray:
@@ -385,7 +374,7 @@ def reduce_gradients(batch, scale: float = 1.0,
     multiplies the gradient rows before the products. The products and
     sums are written into `out` when it is given, so a training loop can
     reuse one gradient buffer for every batch; otherwise into new
-    flat-backed parameters. Returns the gradients.
+    parameters. Returns the gradients.
     """
     def stacked(name):
         return np.concatenate([getattr(rows, name) for rows in batch])
@@ -393,7 +382,7 @@ def reduce_gradients(batch, scale: float = 1.0,
     x, h_prev, h = stacked("x"), stacked("h_prev"), stacked("h")
     dz, da_c, d_rec, da_u, da_r = (stacked(name) * scale for name in _GRAD_ROWS)
     d, n = x.shape[1], dz.shape[1]
-    grads = out if out is not None else _params_view(np.empty(_param_count(d, n)), d, n)
+    grads = out if out is not None else RouterParams(np.empty(_param_count(d, n)), d, n)
     for name, rows, inputs in (("w_r", da_r, x), ("w_u", da_u, x), ("w_n", da_c, x),
                                ("u_r", da_r, h_prev), ("u_u", da_u, h_prev),
                                ("u_n", d_rec, h_prev), ("w_out", dz, h)):
@@ -404,7 +393,7 @@ def reduce_gradients(batch, scale: float = 1.0,
     # A tensor with a non-finite entry has a non-finite sum of squares; the
     # elementwise check runs only then, since finite entries can overflow it.
     with np.errstate(over="ignore"):
-        for name, arr in iter_arrays(grads):
+        for name, arr in zip(PARAM_FIELDS, grads.tensors()):
             flat = arr.ravel()
             if not math.isfinite(np.dot(flat, flat)) and not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite gradient in {name}")
@@ -415,14 +404,14 @@ def reduce_gradients(batch, scale: float = 1.0,
 #
 # Binary layout: magic, version u32, embed_dim u32, pool_size u32, seed u64
 # (all little-endian), then each tensor in PARAM_FIELDS order as raw
-# little-endian float64 bytes, which is the flat vector of flat-backed
-# parameters. Round-trips bitwise.
+# little-endian float64 bytes, which is the parameters' flat vector.
+# Round-trips bitwise.
 
 def save_params(path, params: RouterParams, config: RouterConfig) -> None:
-    """Write a snapshot: the header, then the parameters' flat vector in
-    one write straight from its buffer (after a copy only for parameters
-    that are not flat-backed, or on a big-endian host)."""
-    flat = np.ascontiguousarray(params_to_flat(params), dtype="<f8")
+    """Write a snapshot: the header, then `params.flat` in one write
+    straight from its buffer (after a byte-swapping copy only on a
+    big-endian host)."""
+    flat = params.flat.astype("<f8", copy=False)
     with open(path, "wb") as fh:
         fh.write(_SNAPSHOT_MAGIC + struct.pack(
             "<III Q", _SNAPSHOT_VERSION, params.embed_dim, params.pool_size,
@@ -465,6 +454,6 @@ def load_params(path, config: RouterConfig | None = None):
                 f"{path}: truncated snapshot at tensor {_tensor_at(d, n, got // 8)}")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")
-    params = _params_view(flat.astype(np.float64, copy=False), d, n)
+    params = RouterParams(flat.astype(np.float64, copy=False), d, n)
     header = {"version": version, "embed_dim": d, "pool_size": n, "seed": seed}
     return params, header

@@ -281,6 +281,12 @@ def test_solve_mixture_eps_rejects_targets_that_are_not_numbers_in_range(targets
         solve_mixture_eps(targets, 16)
 
 
+@pytest.mark.parametrize("targets", [[], np.empty(0)], ids=["list", "array"])
+def test_solve_mixture_eps_of_no_targets_is_empty(targets):
+    eps = solve_mixture_eps(targets, 16)
+    assert eps.dtype == np.float64 and eps.shape == (0,)
+
+
 @pytest.mark.parametrize("vocab", VOCABS)
 def test_solve_mixture_eps_matches_reference_on_jittered_targets(vocab, monkeypatch):
     # The shape of mock_execute's input: up to 12 targets jittered around a

@@ -15,7 +15,7 @@ from agentroute.cli import (build_runtime, cmd_gradcheck, cmd_infer, cmd_simulat
                             verify_topology_trace)
 from agentroute.core import ConfigError, read_trace, RouterConfig
 from agentroute.embed import HashEmbedder
-from agentroute.router import flat_to_params, init_params, params_to_flat, save_params
+from agentroute.router import RouterParams, init_params, save_params
 from agentroute.synthetic import make_queries
 
 
@@ -273,8 +273,7 @@ def test_infer_with_zero_params_reaches_dense_limit(tmp_path):
     # zero parameters give uniform logits, so k hits max_route = pool_size
     config_obj = RouterConfig(pool_size=4, max_route=4, temperature=0.1,
                               embed_dim=16, max_steps=2, train_steps=2, seed=7)
-    params = init_params(config_obj)
-    zeros = flat_to_params(np.zeros_like(params_to_flat(params)), params)
+    zeros = RouterParams(np.zeros(init_params(config_obj).flat.size), 16, 4)
     snapshot = tmp_path / "zeros.bin"
     save_params(snapshot, zeros, config_obj)
     config = write_config(tmp_path / "run.conf", pool_size=4, max_route=4,
@@ -468,6 +467,23 @@ def test_main_reports_a_non_finite_skill_as_one_error_line(tmp_path, capsys, ski
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(f"error: {message}\n", err), err
+
+
+@pytest.mark.parametrize("key", ["clip_norm", "triplet_margin"])
+def test_main_rejects_a_nan_training_float_with_its_line(tmp_path, capsys, key):
+    # float() parses "nan": a NaN clip_norm would switch clipping off and a
+    # NaN triplet_margin would train to a NaN loss, both without a word.
+    config = write_config(tmp_path / "run.conf", loss="triplet")
+    text = config.read_text().replace("loss = triplet", f"loss = triplet\n{key} = nan")
+    config.write_text(text)
+    line = text.splitlines().index(f"{key} = nan") + 1
+    queries = write_queries(tmp_path / "q.txt", make_queries(["alpha"], 4, seed=1))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--queries", str(queries)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {config}:{line}: key '{key}' must be a number\n"
+    assert not (tmp_path / "params.bin").exists()
 
 
 # Port 9 (discard) has no listener, so every request is refused at once.

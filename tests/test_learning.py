@@ -1,11 +1,10 @@
 import math
 import tracemalloc
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from agentroute import learning
+from agentroute import learning, router
 from agentroute.core import RouterConfig
 from agentroute.learning import (AdamWHyper, adamw_step, clip_gradients,
                                  confidence, get_loss, init_optimizer,
@@ -13,8 +12,8 @@ from agentroute.learning import (AdamWHyper, adamw_step, clip_gradients,
                                  mse_loss_grad, predictive_entropy, ranking_loss,
                                  ranking_loss_grad, total_loss, triplet_loss,
                                  triplet_loss_grad)
-from agentroute.numerics import global_norm, unflatten
-from agentroute.router import flat_to_params, init_params, params_to_flat
+from agentroute.numerics import global_norm
+from agentroute.router import PARAM_FIELDS, RouterParams, init_params
 
 
 # --- predictive entropy ---
@@ -203,79 +202,95 @@ def test_total_loss_examples():
 
 # --- gradient clipping ---
 
-@dataclass
-class Toy:
-    a: np.ndarray
-    b: np.ndarray
+def _filled(value, d=1, n=1):
+    """Router parameters (12 entries at d = n = 1) all set to `value`."""
+    return RouterParams(np.full(router._param_count(d, n), value), d, n)
 
 
 def test_clip_under_threshold_is_identity():
-    grads = Toy(a=np.array([0.3, 0.4]), b=np.array([0.0]))
+    grads = _filled(0.0)
+    grads.w_r[0, 0], grads.w_u[0, 0] = 0.3, 0.4
+    before = grads.flat.tobytes()
     out = clip_gradients(grads, 1.0)
     assert out is grads
+    assert grads.flat.tobytes() == before
 
 
 def test_clip_scales_single_entry():
-    grads = Toy(a=np.array([2.0, 0.0]), b=np.zeros(3))
+    grads = _filled(0.0)
+    grads.w_r[0, 0] = 2.0
     out = clip_gradients(grads, 1.0)
-    np.testing.assert_allclose(out.a, [1.0, 0.0])
+    np.testing.assert_allclose(out.flat, [1.0] + [0.0] * 11)
 
 
 def test_clip_norm_equals_min_of_norm_and_budget():
     rng = np.random.default_rng(23)
     for _ in range(50):
-        grads = Toy(a=rng.normal(size=4), b=rng.normal(size=3))
-        before = math.sqrt(float(np.sum(grads.a ** 2) + np.sum(grads.b ** 2)))
+        # norms spread around the budget, so both branches run
+        grads = RouterParams(rng.normal(scale=0.3, size=12), 1, 1)
+        before = grads.flat.copy()
         out = clip_gradients(grads, 1.0)
-        after = math.sqrt(float(np.sum(out.a ** 2) + np.sum(out.b ** 2)))
-        assert abs(after - min(before, 1.0)) <= 1e-12
-        assert np.all(np.abs(out.a) <= np.abs(grads.a) + 1e-15)
-        assert np.all(np.abs(out.b) <= np.abs(grads.b) + 1e-15)
+        after = math.sqrt(float(np.sum(out.flat ** 2)))
+        assert abs(after - min(math.sqrt(float(np.sum(before ** 2))), 1.0)) <= 1e-12
+        assert np.all(np.abs(out.flat) <= np.abs(before))
 
 
 def test_clip_scales_a_finite_gradient_whose_squares_overflow():
     # The squared norm of [1e200, 1] overflows, but the gradient is finite:
     # it must come out scaled to the clip norm, not zeroed, and without an
     # overflow warning.
-    grads = Toy(a=np.array([1e200, 1.0]), b=np.array([-1e199]))
-    norm = global_norm(grads)
+    grads = _filled(0.0)
+    grads.w_r[0, 0], grads.w_u[0, 0], grads.b_out[0] = 1e200, 1.0, -1e199
+    norm = global_norm(grads.tensors())
     assert norm == pytest.approx(math.hypot(1e200, 1e199), rel=1e-15)
     out = clip_gradients(grads, 1.0)
-    assert out.a[0] == pytest.approx(1e200 / norm, rel=1e-15)
-    assert out.b[0] == pytest.approx(-1e199 / norm, rel=1e-15)
-    assert global_norm(out) == pytest.approx(1.0, rel=1e-15)
-    one = Toy(a=np.array([1e200, 1.0]), b=np.zeros(0))
-    assert clip_gradients(one, 1.0).a.tolist() == [1.0, 1e-200]
+    assert out.w_r[0, 0] == pytest.approx(1e200 / norm, rel=1e-15)
+    assert out.b_out[0] == pytest.approx(-1e199 / norm, rel=1e-15)
+    assert global_norm(out.tensors()) == pytest.approx(1.0, rel=1e-15)
+    # pool_size 0 leaves the head's tensors empty
+    one = RouterParams(np.zeros(10), 1, 0)
+    one.w_r[0, 0], one.w_u[0, 0] = 1e200, 1.0
+    assert clip_gradients(one, 1.0).flat[:2].tolist() == [1.0, 1e-200]
 
 
 def test_global_norm_of_non_finite_entries_stays_non_finite():
-    assert global_norm(Toy(a=np.array([np.inf, 1e200]), b=np.ones(2))) == math.inf
-    assert math.isnan(global_norm(Toy(a=np.array([np.nan, 1e200]), b=np.ones(2))))
+    assert global_norm([np.array([np.inf, 1e200]), np.ones(2)]) == math.inf
+    assert math.isnan(global_norm([np.array([np.nan, 1e200]), np.ones(2)]))
 
 
 def test_global_norm_matches_fsum_reference():
     rng = np.random.default_rng(31)
     for rows, cols in ((3, 2), (40, 30), (300, 200)):
-        grads = Toy(a=rng.normal(size=(2 * rows, 3 * cols))[::2, 1::3],
-                    b=rng.normal(size=(cols, rows)).T)
-        assert not grads.a.flags.contiguous and not grads.b.flags.c_contiguous
-        squares = [x * x for arr in (grads.a, grads.b) for x in arr.ravel().tolist()]
+        arrays = [rng.normal(size=(2 * rows, 3 * cols))[::2, 1::3],
+                  rng.normal(size=(cols, rows)).T]
+        assert not arrays[0].flags.contiguous and not arrays[1].flags.c_contiguous
+        squares = [x * x for arr in arrays for x in arr.ravel().tolist()]
         reference = math.sqrt(math.fsum(squares))
-        assert abs(global_norm(grads) - reference) <= 1e-12 * reference
+        assert abs(global_norm(arrays) - reference) <= 1e-12 * reference
+
+
+def test_global_norm_sums_one_dot_per_tensor_in_field_order():
+    # The clip scale, and with it every training snapshot, depends on this
+    # order: one dot over the whole flat vector rounds differently.
+    rng = np.random.default_rng(37)
+    flat_differs = 0
+    for _ in range(20):
+        grads = RouterParams(rng.normal(size=router._param_count(16, 4)), 16, 4)
+        total = 0.0
+        for arr in grads.tensors():
+            total += float(np.dot(arr.ravel(), arr.ravel()))
+        assert global_norm(grads.tensors()) == math.sqrt(total)
+        flat_differs += float(np.dot(grads.flat, grads.flat)) != total
+    assert flat_differs
 
 
 # --- AdamW ---
 
-@dataclass
-class Scalar:
-    w: np.ndarray
-
-
 def test_adamw_zero_grads_zero_decay_is_fixed_point():
-    params = Scalar(w=np.array([1.5]))
+    params = _filled(1.5)
     state = init_optimizer(params, AdamWHyper(weight_decay=0.0))
-    out = adamw_step(params, Scalar(w=np.zeros(1)), state)
-    np.testing.assert_array_equal(out.w, params.w)
+    out = adamw_step(params, _filled(0.0), state)
+    np.testing.assert_array_equal(out.flat, params.flat)
     np.testing.assert_array_equal(state.moments[0], 0.0)
     np.testing.assert_array_equal(state.moments[1], 0.0)
     assert state.step_count == 1
@@ -283,46 +298,42 @@ def test_adamw_zero_grads_zero_decay_is_fixed_point():
 
 def test_adamw_matches_scripted_recurrences():
     # frozen from a throwaway script evaluating the update equations on one
-    # scalar (theta0=0.5, grad 1.0, defaults)
-    params = Scalar(w=np.array([0.5]))
+    # scalar (theta0=0.5, grad 1.0, defaults); every entry follows it
+    params = _filled(0.5)
     state = init_optimizer(params, AdamWHyper())
-    step1 = adamw_step(params, Scalar(w=np.array([1.0])), state)
-    assert abs(step1.w[0] - 0.49899500001) <= 1e-15
-    step2 = adamw_step(step1, Scalar(w=np.array([1.0])), state)
-    assert abs(step2.w[0] - 0.49799001006999993) <= 1e-15
-    assert abs(state.moments[0, 0] - 0.18999999999999995) <= 1e-16
-    assert abs(state.moments[1, 0] - 0.0019990000000000016) <= 1e-18
+    step1 = adamw_step(params, _filled(1.0), state)
+    assert np.all(np.abs(step1.flat - 0.49899500001) <= 1e-15)
+    step2 = adamw_step(step1, _filled(1.0), state)
+    assert np.all(np.abs(step2.flat - 0.49799001006999993) <= 1e-15)
+    assert np.all(np.abs(state.moments[0] - 0.18999999999999995) <= 1e-16)
+    assert np.all(np.abs(state.moments[1] - 0.0019990000000000016) <= 1e-18)
 
 
 def test_adamw_first_step_without_decay_is_almost_lr():
-    params = Scalar(w=np.array([0.0]))
+    params = _filled(0.0)
     state = init_optimizer(params, AdamWHyper(weight_decay=0.0))
-    out = adamw_step(params, Scalar(w=np.array([1.0])), state)
-    assert abs(out.w[0] - (-0.0009999999900000003)) <= 1e-18
+    out = adamw_step(params, _filled(1.0), state)
+    assert np.all(np.abs(out.flat - (-0.0009999999900000003)) <= 1e-18)
 
 
 def test_adamw_is_deterministic():
     def run():
-        params = Scalar(w=np.array([0.3, -0.2]))
+        params = RouterParams(np.tile([0.3, -0.2], 6), 1, 1)
         state = init_optimizer(params, AdamWHyper())
         for _ in range(5):
-            params = adamw_step(params, Scalar(w=np.array([0.5, -1.0])), state)
-        return params.w
+            params = adamw_step(params, RouterParams(np.tile([0.5, -1.0], 6), 1, 1),
+                                state)
+        return params.flat
     np.testing.assert_array_equal(run(), run())
 
 
 def test_adamw_rejects_non_finite_grads():
-    params = Scalar(w=np.array([0.5]))
+    params = _filled(0.5)
+    grads = _filled(0.0)
+    grads.w_r[0, 0] = np.inf
     state = init_optimizer(params, AdamWHyper())
-    with pytest.raises(ValueError, match="w"):
-        adamw_step(params, Scalar(w=np.array([np.inf])), state)
-
-
-@dataclass
-class Tensors:
-    w: np.ndarray
-    b: np.ndarray
-    s: np.ndarray
+    with pytest.raises(ValueError, match="w_r$"):
+        adamw_step(params, grads, state)
 
 
 def _reference_adamw(params, grads, moments, t, hyper):
@@ -330,8 +341,9 @@ def _reference_adamw(params, grads, moments, t, hyper):
     first, second = moments
     bias1 = 1.0 - hyper.beta1 ** t
     bias2 = 1.0 - hyper.beta2 ** t
-    updated = {}
-    for name in params.__dataclass_fields__:
+    updated = RouterParams(np.empty_like(params.flat), params.embed_dim,
+                           params.pool_size)
+    for name in PARAM_FIELDS:
         p, g = getattr(params, name), getattr(grads, name)
         m, v = getattr(first, name), getattr(second, name)
         m *= hyper.beta1
@@ -340,91 +352,86 @@ def _reference_adamw(params, grads, moments, t, hyper):
         v += (1.0 - hyper.beta2) * np.square(g)
         m_hat = m / bias1
         v_hat = v / bias2
-        updated[name] = p - hyper.lr * (m_hat / (np.sqrt(v_hat) + hyper.epsilon)
-                                        + hyper.weight_decay * p)
-    return type(params)(**updated)
+        getattr(updated, name)[...] = p - hyper.lr * (
+            m_hat / (np.sqrt(v_hat) + hyper.epsilon) + hyper.weight_decay * p)
+    return updated
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_adamw_is_bit_identical_to_the_reference(weight_decay):
     rng = np.random.default_rng(17)
+    size = router._param_count(3, 2)
 
-    def draw(shape):
+    def draw():
         # signed magnitudes spread log-uniformly over 1e-8 .. 1e2
-        sign = rng.choice([-1.0, 1.0], size=shape)
-        return sign * 10.0 ** rng.uniform(-8.0, 2.0, size=shape)
+        sign = rng.choice([-1.0, 1.0], size=size)
+        return RouterParams(sign * 10.0 ** rng.uniform(-8.0, 2.0, size=size), 3, 2)
 
-    shapes = {"w": (7, 5), "b": (5,), "s": (1,)}
-    params = Tensors(**{name: rng.normal(size=shape) for name, shape in shapes.items()})
+    params = RouterParams(rng.normal(size=size), 3, 2)
     hyper = AdamWHyper(lr=1e-2, weight_decay=weight_decay)
     state = init_optimizer(params, hyper)
     ref_params = params
-    ref_moments = tuple(Tensors(**{name: np.zeros(shape) for name, shape in shapes.items()})
-                        for _ in range(2))
+    ref_moments = tuple(RouterParams(np.zeros(size), 3, 2) for _ in range(2))
     for t in range(1, 7):
-        grads = Tensors(**{name: draw(shape) for name, shape in shapes.items()})
+        grads = draw()
         params = adamw_step(params, grads, state)
         ref_params = _reference_adamw(ref_params, grads, ref_moments, t, hyper)
-        first, second = (unflatten(row, shapes, Tensors) for row in state.moments)
-        for name in shapes:
-            assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes()
-            assert getattr(first, name).tobytes() == \
-                getattr(ref_moments[0], name).tobytes()
-            assert getattr(second, name).tobytes() == \
-                getattr(ref_moments[1], name).tobytes()
+        assert params.flat.tobytes() == ref_params.flat.tobytes()
+        for row, ref in zip(state.moments, ref_moments):
+            assert row.tobytes() == ref.flat.tobytes()
     assert state.step_count == 6
 
 
 def test_adamw_creates_moments_on_first_step():
-    params = Scalar(w=np.array([0.5, -0.5]))
+    params = RouterParams(np.tile([0.5, -0.5], 6), 1, 1)
     state = init_optimizer(params, AdamWHyper())
     assert state.moments is None
-    adamw_step(params, Scalar(w=np.array([1.0, 2.0])), state)
-    assert state.moments.shape == (2, 2)
+    adamw_step(params, RouterParams(np.tile([1.0, 2.0], 6), 1, 1), state)
+    assert state.moments.shape == (2, 12)
     # the update leaves the caller's parameters alone
-    np.testing.assert_array_equal(params.w, [0.5, -0.5])
+    np.testing.assert_array_equal(params.flat, np.tile([0.5, -0.5], 6))
 
 
 def _router_params_and_grads(seed, d=4, n=3):
     config = RouterConfig(pool_size=n, max_route=2, embed_dim=d, seed=seed)
     params = init_params(config)
     rng = np.random.default_rng(seed)
-    size = params_to_flat(params).size
+    size = params.flat.size
     # signed magnitudes spread log-uniformly over 1e-8 .. 1e2
-    grads = [flat_to_params(rng.choice([-1.0, 1.0], size=size)
-                            * 10.0 ** rng.uniform(-8.0, 2.0, size=size), params)
+    grads = [RouterParams(rng.choice([-1.0, 1.0], size=size)
+                          * 10.0 ** rng.uniform(-8.0, 2.0, size=size), d, n)
              for _ in range(6)]
     return params, grads
 
 
 def test_adamw_updates_its_own_vector_in_place_after_the_first_step():
     params, grad_steps = _router_params_and_grads(seed=29, d=64, n=8)
-    before = params_to_flat(params).tobytes()
+    before = params.flat.tobytes()
     state = init_optimizer(params, AdamWHyper())
     first = adamw_step(params, grad_steps[0], state)
-    assert params_to_flat(first) is state.params
-    assert not np.shares_memory(state.params, params_to_flat(params))
+    assert first is state.params
+    assert not np.shares_memory(first.flat, params.flat)
     tracemalloc.start()
     try:
         second = adamw_step(first, grad_steps[1], state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert params_to_flat(second) is params_to_flat(first)
+    assert second is first
     # No block as large as the parameter vector was allocated on the way.
-    assert peak < state.params.nbytes
-    assert params_to_flat(params).tobytes() == before
+    assert peak < first.flat.nbytes
+    assert params.flat.tobytes() == before
 
 
 def test_adamw_given_other_params_leaves_the_previous_result_intact():
     params, grad_steps = _router_params_and_grads(seed=31)
     state = init_optimizer(params, AdamWHyper())
     first = adamw_step(params, grad_steps[0], state)
-    kept = params_to_flat(first).tobytes()
+    kept = first.flat.tobytes()
     again = adamw_step(params, grad_steps[1], state)
-    assert not np.shares_memory(params_to_flat(again), params_to_flat(first))
-    assert params_to_flat(first).tobytes() == kept
-    assert params_to_flat(again) is state.params
+    assert not np.shares_memory(again.flat, first.flat)
+    assert first.flat.tobytes() == kept
+    assert again is state.params
 
 
 @pytest.mark.parametrize("chunk", [5, 7, 64, 32768])
@@ -436,14 +443,14 @@ def test_adamw_on_flat_params_is_bit_identical_to_the_reference(chunk, monkeypat
     hyper = AdamWHyper(lr=1e-2)
     state = init_optimizer(params, hyper)
     ref_params = params
-    ref_moments = tuple(flat_to_params(np.zeros_like(params_to_flat(params)), params)
+    ref_moments = tuple(RouterParams(np.zeros_like(params.flat), 4, 3)
                         for _ in range(2))
     for t, grads in enumerate(grad_steps, start=1):
         params = adamw_step(params, grads, state)
         ref_params = _reference_adamw(ref_params, grads, ref_moments, t, hyper)
-        assert params_to_flat(params).tobytes() == params_to_flat(ref_params).tobytes()
+        assert params.flat.tobytes() == ref_params.flat.tobytes()
         for row, ref in zip(state.moments, ref_moments):
-            assert row.tobytes() == params_to_flat(ref).tobytes()
+            assert row.tobytes() == ref.flat.tobytes()
 
 
 @pytest.mark.parametrize("name,index", [("b_hn", 1), ("w_r", 0), ("b_out", 2)])

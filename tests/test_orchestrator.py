@@ -13,7 +13,7 @@ from agentroute.numerics import global_norm
 from agentroute.orchestrator import (OrchestrationError, Runtime,
                                      TrainingSettings, infer, test_time_train,
                                      train)
-from agentroute.router import init_params, params_to_flat
+from agentroute.router import init_params
 from agentroute.synthetic import make_queries, make_tagged_pool
 
 
@@ -226,8 +226,7 @@ def test_training_with_identical_mocks_only_decays_params():
     assert all(loss == 0.0 for _, _, loss in report.loss_rows)
     steps = len(report.loss_rows)
     decay = (1.0 - settings.lr * settings.weight_decay) ** steps
-    np.testing.assert_allclose(params_to_flat(report.params),
-                               params_to_flat(params) * decay, rtol=1e-12)
+    np.testing.assert_allclose(report.params.flat, params.flat * decay, rtol=1e-12)
 
 
 def test_training_batch_arithmetic():
@@ -267,7 +266,7 @@ def test_training_is_deterministic():
         queries = make_queries(["alpha"], 8, seed=9)
         report = train(runtime, queries, init_params(config), config,
                        TrainingSettings(batch_size=4, epochs=2))
-        return params_to_flat(report.params), report.loss_rows
+        return report.params.flat, report.loss_rows
 
     flat_a, rows_a = run()
     flat_b, rows_b = run()
@@ -295,7 +294,7 @@ def test_training_leaves_the_callers_params_intact(mode, monkeypatch):
     real_clip = orchestrator.clip_gradients
 
     def spy(grads, clip_norm):
-        fired.append(global_norm(grads) > clip_norm)
+        fired.append(global_norm(grads.tensors()) > clip_norm)
         return real_clip(grads, clip_norm)
 
     monkeypatch.setattr(orchestrator, "clip_gradients", spy)
@@ -304,17 +303,17 @@ def test_training_leaves_the_callers_params_intact(mode, monkeypatch):
     queries = make_queries(["alpha"], 12, seed=21)
     settings = TrainingSettings(batch_size=4, epochs=2, clip_norm=1e-6)
     params = init_params(config)
-    before = params_to_flat(params).tobytes()
+    before = params.flat.tobytes()
 
     def run():
         if mode == "train":
             return train(runtime, queries, params, config, settings).params
         return test_time_train(runtime, queries, params, config, settings, 10)[0]
 
-    first = params_to_flat(run()).tobytes()
-    assert params_to_flat(params).tobytes() == before
-    assert params_to_flat(run()).tobytes() == first
-    assert params_to_flat(params).tobytes() == before
+    first = run().flat.tobytes()
+    assert params.flat.tobytes() == before
+    assert run().flat.tobytes() == first
+    assert params.flat.tobytes() == before
     assert first != before
     assert fired and all(fired)
 
@@ -404,8 +403,7 @@ def test_ttt_dense_then_sparse_structure():
         assert all(rec.entropy_E is None for rec in traj.steps)
         assert traj.total_agent_calls == sum(rec.k for rec in traj.steps)
     # adaptation actually moved the parameters
-    assert not np.array_equal(params_to_flat(params),
-                              params_to_flat(init_params(config)))
+    assert not np.array_equal(params.flat, init_params(config).flat)
 
 
 def test_ttt_requires_enough_queries():

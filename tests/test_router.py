@@ -11,26 +11,20 @@ from agentroute.gradcheck import gradient_check
 from agentroute.learning import AdamWHyper, adamw_step, init_optimizer
 from agentroute.numerics import sigmoid, softmax, softmax_vjp
 from agentroute.router import (PARAM_FIELDS, RouterParams, adaptive_k,
-                               attach_responses, backward_trajectory, flat_to_params,
+                               attach_responses, backward_trajectory,
                                forward_trajectory, init_params, init_state,
-                               keep_top_k, load_params, params_to_flat,
-                               reduce_gradients, route_step, save_params,
-                               select)
+                               keep_top_k, load_params, reduce_gradients,
+                               route_step, save_params, select)
 
 
 def _zero_params(d, n):
-    return RouterParams(
-        w_r=np.zeros((d, d)), w_u=np.zeros((d, d)), w_n=np.zeros((d, d)),
-        u_r=np.zeros((d, d)), u_u=np.zeros((d, d)), u_n=np.zeros((d, d)),
-        b_r=np.zeros(d), b_u=np.zeros(d), b_in=np.zeros(d), b_hn=np.zeros(d),
-        w_out=np.zeros((n, d)), b_out=np.zeros(n))
+    return RouterParams(np.zeros(router._param_count(d, n)), d, n)
 
 
 def _random_params(d, n, seed):
+    # One draw equals one draw per tensor in PARAM_FIELDS order.
     rng = np.random.default_rng(seed)
-    zero = _zero_params(d, n)
-    return RouterParams(**{name: rng.normal(size=getattr(zero, name).shape)
-                           for name in zero.__dataclass_fields__})
+    return RouterParams(rng.normal(size=router._param_count(d, n)), d, n)
 
 
 def _head_only_params(d, n, seed):
@@ -38,7 +32,7 @@ def _head_only_params(d, n, seed):
     h_prev / 2 whatever the input, so h_prev = 2 o feeds o to the head."""
     params = _zero_params(d, n)
     drawn = _random_params(d, n, seed)
-    params.w_out, params.b_out = drawn.w_out, drawn.b_out
+    params.w_out[...], params.b_out[...] = drawn.w_out, drawn.b_out
     return params
 
 
@@ -107,7 +101,7 @@ def test_gru_rejects_bad_shapes():
 
 def test_head_zero_weight_returns_bias():
     params = _zero_params(4, 3)
-    params.b_out = np.array([1.0, -2.0, 0.5])
+    params.b_out[:] = [1.0, -2.0, 0.5]
     step = route_step(np.zeros(4), np.full(4, 2.0), params, _config(n=3, d=4))
     np.testing.assert_array_equal(step.h, np.ones(4))
     np.testing.assert_array_equal(step.z, params.b_out)
@@ -365,8 +359,7 @@ def test_backward_zero_upstream_gives_zero_gradients():
     forward = forward_trajectory(rng.normal(size=8), rng.normal(size=(3, 5, 8)),
                                  params, config)
     grads = reduce_gradients([backward_trajectory(forward, [np.zeros(5)] * 3)])
-    for name in grads.__dataclass_fields__:
-        np.testing.assert_array_equal(getattr(grads, name), 0.0)
+    np.testing.assert_array_equal(grads.flat, 0.0)
 
 
 def test_backward_single_step_linear_head_rows():
@@ -401,7 +394,7 @@ def _outer_product_backward(forward, per_step_dz):
     accumulated in place."""
     params, steps = forward.params, forward.steps
     n, d = params.pool_size, params.embed_dim
-    grads = flat_to_params(np.zeros_like(params_to_flat(params)), params)
+    grads = RouterParams(np.zeros_like(params.flat), d, n)
     dh_carry = np.zeros(d)
     dz_from_alpha = [np.zeros(n) for _ in steps]
     for i in reversed(range(len(steps))):
@@ -445,8 +438,7 @@ def _batch_of_trajectories(size, seed, n=6, d=10, k=4):
     """Forward passes of `size` random queries through shared parameters,
     with 1 to 3 steps each, and their per-step logit gradients."""
     # Small weights keep the logits close, so k varies between steps.
-    params = _random_params(d, n, seed)
-    params = flat_to_params(0.2 * params_to_flat(params), params)
+    params = RouterParams(0.2 * _random_params(d, n, seed).flat, d, n)
     rng = np.random.default_rng(seed + 1)
     forwards, upstream = [], []
     for index in range(size):
@@ -460,7 +452,7 @@ def _batch_of_trajectories(size, seed, n=6, d=10, k=4):
 
 
 def _assert_grads_close(actual, expected):
-    for name in expected.__dataclass_fields__:
+    for name in PARAM_FIELDS:
         np.testing.assert_allclose(getattr(actual, name), getattr(expected, name),
                                    rtol=1e-12, atol=0.0, err_msg=name)
 
@@ -480,13 +472,10 @@ def test_batched_gradient_matches_mean_of_per_query_gradients(batch_size):
         assert len({step.k for forward in forwards for step in forward.steps}) > 1
     rows = [backward_trajectory(f, dz) for f, dz in zip(forwards, upstream)]
     batched = reduce_gradients(rows, scale=1.0 / batch_size)
-    expected = flat_to_params(np.zeros_like(params_to_flat(forwards[0].params)),
-                              forwards[0].params)
+    expected = _zero_params(10, 6)
     for forward, dz in zip(forwards, upstream):
-        reference = _outer_product_backward(forward, dz)
-        for name in expected.__dataclass_fields__:
-            getattr(expected, name)[...] += getattr(reference, name)
-    expected = flat_to_params(params_to_flat(expected) / batch_size, expected)
+        expected.flat += _outer_product_backward(forward, dz).flat
+    expected.flat /= batch_size
     _assert_grads_close(batched, expected)
 
 
@@ -495,8 +484,7 @@ def test_batched_zero_upstream_gives_exact_zeros():
     rows = [backward_trajectory(f, [np.zeros_like(dz) for dz in per_step])
             for f, per_step in zip(forwards, upstream)]
     grads = reduce_gradients(rows, scale=1.0 / len(rows))
-    for name in grads.__dataclass_fields__:
-        np.testing.assert_array_equal(getattr(grads, name), 0.0)
+    np.testing.assert_array_equal(grads.flat, 0.0)
 
 
 def test_bptt_matches_finite_differences():
@@ -619,7 +607,7 @@ def test_non_finite_recurrent_weight_raises_at_the_first_nonzero_state(
     # step 1 is (0.5 tanh 1, 0): the bad entry meets its zero, so even inf
     # gives NaN there. The full products raised at step 1.
     params = _zero_params(2, 3)
-    params.b_in = np.array([1.0, 0.0])
+    params.b_in[:] = [1.0, 0.0]
     params.u_r[0, 1] = bad
     config = _config(n=3, d=2, k=2, steps=2)
     responses = np.zeros((2, 3, 2))
@@ -689,8 +677,7 @@ def test_snapshot_round_trip_is_bitwise(tmp_path):
     path = tmp_path / "params.bin"
     save_params(path, params, config)
     loaded, header = load_params(path, config)
-    for name in params.__dataclass_fields__:
-        np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
+    assert loaded.flat.tobytes() == params.flat.tobytes()
     assert header == {"version": 1, "embed_dim": 12, "pool_size": 6, "seed": 99}
     # writing the loaded params again produces identical bytes
     path2 = tmp_path / "params2.bin"
@@ -704,7 +691,7 @@ def _tobytes_snapshot(path, params, config):
         fh.write(b"ARPS")
         fh.write(struct.pack("<III Q", 1, params.embed_dim, params.pool_size,
                              config.seed))
-        for name in params.__dataclass_fields__:
+        for name in PARAM_FIELDS:
             arr = np.ascontiguousarray(getattr(params, name), dtype="<f8")
             fh.write(arr.tobytes())
 
@@ -712,15 +699,9 @@ def _tobytes_snapshot(path, params, config):
 def test_snapshot_bytes_match_the_copying_writer(tmp_path):
     config = _config(n=6, d=12, seed=98)
     params = _random_params(12, 6, seed=21)
-    # Also tensors that need converting first: transposed, strided, and
-    # big-endian.
-    odd = RouterParams(**{**params.__dict__, "w_r": params.w_r.T,
-                          "b_in": np.repeat(params.b_in, 2)[::2],
-                          "w_out": params.w_out.astype(">f8")})
-    for which in (params, odd):
-        save_params(tmp_path / "new.bin", which, config)
-        _tobytes_snapshot(tmp_path / "old.bin", which, config)
-        assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+    save_params(tmp_path / "new.bin", params, config)
+    _tobytes_snapshot(tmp_path / "old.bin", params, config)
+    assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
 
 
 def test_snapshot_rejects_mismatched_config(tmp_path):
@@ -790,12 +771,41 @@ def test_snapshot_size_fields_are_checked_before_allocating(tmp_path, d, n, mess
 
 def test_flat_round_trip():
     params = _random_params(5, 3, seed=20)
-    flat = params_to_flat(params)
-    rebuilt = flat_to_params(flat, params)
-    for name in params.__dataclass_fields__:
+    rebuilt = RouterParams(params.flat.copy(), 5, 3)
+    for name in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(rebuilt, name), getattr(params, name))
-    grads = flat_to_params(np.zeros_like(params_to_flat(params)), params)
-    assert params_to_flat(grads).sum() == 0.0
+    assert np.concatenate([arr.ravel() for arr in params.tensors()]).tobytes() == \
+        params.flat.tobytes()
+    rebuilt.b_out[1] = 7.0
+    assert rebuilt.flat[-2] == 7.0 and params.b_out[1] != 7.0
+
+
+@pytest.mark.parametrize("name", ["flat", "w_r", "b_out", "embed_dim"])
+def test_router_params_attributes_cannot_be_rebound(name):
+    # A rebound tensor would silently drop out of snapshots, clipping and
+    # AdamW, which all work on the flat vector.
+    params = _random_params(4, 3, seed=22)
+    before = params.flat.tobytes()
+    with pytest.raises(AttributeError, match=f"RouterParams.{name} is set once"):
+        setattr(params, name, np.zeros_like(getattr(params, name)))
+    assert params.flat.tobytes() == before
+    params.w_r += 1.0  # an in-place operator sets the same array back
+    assert params.flat[0] == np.frombuffer(before)[0] + 1.0
+
+
+@pytest.mark.parametrize("flat", [
+    pytest.param(np.zeros(126), id="one entry short"),
+    pytest.param(np.zeros(128), id="one entry long"),
+    pytest.param(np.zeros(127, dtype=np.float32), id="float32"),
+    pytest.param(np.zeros(127, dtype=">f8"), id="big-endian"),
+    pytest.param(np.zeros((1, 127)), id="2-D"),
+    pytest.param(np.zeros(254)[::2], id="strided"),
+    pytest.param([0.0] * 127, id="list"),
+])
+def test_router_params_reject_a_vector_they_cannot_own(flat):
+    # d=4, n=3 parameters have 6 * 16 + 4 * 4 + 3 * 4 + 3 = 127 entries.
+    with pytest.raises(ValueError, match="C-contiguous 1-D float64 vector of 127 entries"):
+        RouterParams(flat, 4, 3)
 
 
 def test_reduce_gradients_into_a_reused_buffer_equals_a_fresh_reduction():
@@ -806,7 +816,7 @@ def test_reduce_gradients_into_a_reused_buffer_equals_a_fresh_reduction():
         fresh = reduce_gradients(batch, scale=1.0 / len(batch))
         reused = reduce_gradients(batch, scale=1.0 / len(batch), out=buffer)
         assert reused is buffer
-        assert params_to_flat(reused).tobytes() == params_to_flat(fresh).tobytes()
+        assert reused.flat.tobytes() == fresh.flat.tobytes()
 
 
 def _random_rows(seed, steps=2, d=5, n=3):
@@ -849,15 +859,12 @@ def test_library_params_are_views_into_one_flat_vector(tmp_path):
     forwards, upstream = _batch_of_trajectories(2, seed=61, n=6, d=12)
     grads = reduce_gradients([backward_trajectory(f, dz)
                               for f, dz in zip(forwards, upstream)])
-    rebuilt = flat_to_params(params_to_flat(params).copy(), params)
+    rebuilt = RouterParams(params.flat.copy(), 12, 6)
     stepped = adamw_step(params, grads, init_optimizer(params, AdamWHyper()))
     for which in (params, loaded, grads, rebuilt, stepped):
-        flat = params_to_flat(which)
-        for name in PARAM_FIELDS:
-            assert np.shares_memory(flat, getattr(which, name))
-    # Views that do not tile one vector in field order are copied.
-    swapped = RouterParams(**{**params.__dict__, "w_r": params.w_u,
-                              "w_u": params.w_r})
-    flat = params_to_flat(swapped)
-    assert not np.shares_memory(flat, params.w_r)
-    np.testing.assert_array_equal(flat[:144], params.w_u.ravel())
+        offset = 0
+        for arr in which.tensors():
+            assert arr.base is which.flat and arr.flags.c_contiguous
+            assert np.shares_memory(arr, which.flat[offset: offset + arr.size])
+            offset += arr.size
+        assert offset == which.flat.size
