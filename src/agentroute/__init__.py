@@ -15,15 +15,15 @@ from .embed import HashEmbedder, RemoteEmbedder, RemoteEmbedError, hash_embed, \
 from .router import RouterParams, adaptive_k, backward_trajectory, \
     forward_trajectory, init_params, init_state, keep_top_k, load_params, \
     reduce_gradients, route_step, save_params
-from .learning import AdamWHyper, OptimizerState, adamw_step, clip_gradients, \
-    confidence, get_loss, init_optimizer, listmle_loss, mse_loss, \
+from .learning import OptimizerState, TrainingSettings, adamw_step, \
+    clip_gradients, confidence, get_loss, listmle_loss, mse_loss, \
     predictive_entropy, ranking_loss, total_loss, triplet_loss
 from .agents import ChatPoolBackend, ChatSummarizer, Final, CONTINUE, \
     MockPoolBackend, MockProfile, MockSummarizer, ToolError, TOOLS, \
     TransportError, assemble_prompt, calculator_tool, chat_execute, \
     mock_execute, parse_summarizer_reply, summarize_final, summarizer_decide
-from .orchestrator import OrchestrationError, Runtime, TrainingSettings, \
-    TrainReport, infer, test_time_train, train
+from .orchestrator import OrchestrationError, Runtime, TrainReport, infer, \
+    test_time_train, train
 from .gradcheck import gradient_check
 
 __version__ = "0.1.0"

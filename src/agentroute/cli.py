@@ -13,7 +13,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,14 +24,16 @@ from .core import AgentSpec, ConfigError, RouterConfig, read_trace, \
     validate_config, write_trace
 from .embed import HashEmbedder, RemoteEmbedder
 from .gradcheck import gradient_check
-from .orchestrator import OrchestrationError, Runtime, TrainingSettings, \
-    infer, test_time_train, train
+from .learning import TrainingSettings
+from .orchestrator import OrchestrationError, Runtime, infer, \
+    test_time_train, train
 from .router import init_params, load_params, save_params
 
 API_KEY_ENV = "DMOA_API_KEY"
 
 _AGENT_SECTION = re.compile(r"^agent\s+(\d+)$")
-_KNOWN_SECTIONS = {"router", "embedder", "agents", "summarizer", "training", "paths"}
+# The two config keys not named after their field.
+_RENAMED_KEYS = {"loss_kind": "loss", "response_template": "template"}
 
 TOPOLOGIES = ("chain", "star", "complete", "moa")
 
@@ -89,45 +92,35 @@ class _Section:
         self.entries = entries
         self.used = set()
 
-    def _raw(self, key, default):
+    def get(self, key, kind, default=MISSING):
+        """The value of `key` parsed as `kind` (str, int or float), else
+        `default`; a key with no default is required. A float must not be
+        NaN."""
         self.used.add(key)
-        if key in self.entries:
-            return self.entries[key][0]
-        return default
-
-    def _fail(self, key, kind):
-        line = self.entries[key][1]
-        raise ConfigError(f"{self.path}:{line}: key '{key}' must be {kind}")
-
-    def get_str(self, key, default=""):
-        return self._raw(key, default)
-
-    def get_int(self, key, default=None):
-        raw = self._raw(key, None)
-        if raw is None:
-            if default is None:
+        if key not in self.entries:
+            if default is MISSING:
                 raise ConfigError(
                     f"{self.path}: missing required key '{key}' in [{self.name}]")
             return default
+        raw, line = self.entries[key]
         try:
-            return int(raw)
+            value = kind(raw)
         except ValueError:
-            self._fail(key, "an integer")
+            value = math.nan
+        if isinstance(value, float) and math.isnan(value):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{self.path}:{line}: key '{key}' must be {what}")
+        return value
 
-    def get_float(self, key, default=None):
-        raw = self._raw(key, None)
-        if raw is None:
-            if default is None:
-                raise ConfigError(
-                    f"{self.path}: missing required key '{key}' in [{self.name}]")
-            return default
-        try:
-            value = float(raw)
-            if not math.isnan(value):
-                return value
-        except ValueError:
-            pass
-        self._fail(key, "a number")
+    def fields_of(self, cls, **given) -> dict:
+        """Keyword arguments for the dataclass `cls`: `given`, plus each
+        other field read from its key with the field's type and default."""
+        types = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name not in given:
+                key = _RENAMED_KEYS.get(f.name, f.name)
+                given[f.name] = self.get(key, types[f.name], f.default)
+        return given
 
     def finish(self):
         for key, (_, line) in self.entries.items():
@@ -145,7 +138,7 @@ class EmbedderSettings:
 
 @dataclass
 class BackendSettings:
-    kind: str = "mock"
+    backend: str = "mock"
     endpoint: str = ""
     max_workers: int = 1
     top_logprobs: int = 5
@@ -155,10 +148,18 @@ class BackendSettings:
 
 @dataclass
 class SummarizerSettings:
-    kind: str = "mock"
+    backend: str = "mock"
     final_at_step: int = 0
     endpoint: str = ""
     model_ref: str = "summarizer"
+
+
+@dataclass
+class PathSettings:
+    params_in: str = ""
+    params_out: str = "params.bin"
+    trace_out: str = "trace.jsonl"
+    metrics_out: str = "metrics.csv"
 
 
 @dataclass
@@ -170,11 +171,11 @@ class RunConfig:
     training: TrainingSettings
     specs: list
     profiles: list
-    paths: dict
+    paths: PathSettings
 
 
 def _parse_skills(section: _Section, key: str) -> dict:
-    raw = section.get_str(key, "default:1.0:0.0")
+    raw = section.get(key, str, "default:1.0:0.0")
     skills = {}
     for item in raw.split(","):
         item = item.strip()
@@ -196,105 +197,57 @@ def _parse_skills(section: _Section, key: str) -> dict:
     return skills
 
 
-def _parse_tools(section: _Section, key: str):
-    raw = section.get_str(key, "")
-    names = tuple(name.strip() for name in raw.split(",") if name.strip())
+def _parse_spec(section: _Section, agent_id: int) -> AgentSpec:
+    profile_text = section.get("profile", str, "")
+    if not profile_text:
+        raise ConfigError(
+            f"{section.path}: agent {agent_id} needs a non-empty 'profile'")
+    model_ref = section.get("model_ref", str, "mock")
+    names = tuple(name.strip() for name in section.get("tools", str, "").split(",")
+                  if name.strip())
     for name in names:
         if name not in TOOLS:
-            line = section.entries[key][1]
+            line = section.entries["tools"][1]
             raise ConfigError(f"{section.path}:{line}: unknown tool '{name}'")
-    return names
+    return AgentSpec(agent_id=agent_id, model_ref=model_ref,
+                     profile_text=profile_text, tool_names=names)
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run config; unknown sections or keys are
-    errors, and the number of [agent i] sections must equal pool_size."""
+    errors, and the number of [agent i] sections must equal pool_size.
+
+    Each fixed section is read into its dataclass and each [agent i]
+    section into an AgentSpec and a MockProfile: a key is named after its
+    field (but see _RENAMED_KEYS), is parsed with the field's type, and
+    takes the field's default when left out."""
     sections = _parse_config_file(path)
 
-    def take(name) -> _Section:
-        if name in sections:
-            _, entries = sections.pop(name)
-            return _Section(path, name, entries)
-        return _Section(path, name, {})
+    def read(name, cls):
+        _, entries = sections.pop(name, (0, {}))
+        section = _Section(path, name, entries)
+        values = section.fields_of(cls)
+        section.finish()
+        return cls(**values)
 
-    router_sec = take("router")
-    router = RouterConfig(
-        pool_size=router_sec.get_int("pool_size"),
-        max_route=router_sec.get_int("max_route"),
-        temperature=router_sec.get_float("temperature", 0.1),
-        embed_dim=router_sec.get_int("embed_dim", 384),
-        max_steps=router_sec.get_int("max_steps", 20),
-        train_steps=router_sec.get_int("train_steps", 3),
-        seed=router_sec.get_int("seed", 0),
-    )
-    router_sec.finish()
-    validate_config(router)
-
-    emb_sec = take("embedder")
-    embedder = EmbedderSettings(
-        kind=emb_sec.get_str("kind", "hash"),
-        endpoint=emb_sec.get_str("endpoint", ""),
-        max_chars=emb_sec.get_int("max_chars", 0),
-    )
-    emb_sec.finish()
+    router = validate_config(read("router", RouterConfig))
+    embedder = read("embedder", EmbedderSettings)
     if embedder.kind not in ("hash", "remote"):
         raise ConfigError(f"{path}: embedder kind must be 'hash' or 'remote'")
     if embedder.kind == "remote" and not embedder.endpoint:
         raise ConfigError(f"{path}: remote embedder requires an endpoint")
-
-    back_sec = take("agents")
-    backend = BackendSettings(
-        kind=back_sec.get_str("backend", "mock"),
-        endpoint=back_sec.get_str("endpoint", ""),
-        max_workers=back_sec.get_int("max_workers", 1),
-        top_logprobs=back_sec.get_int("top_logprobs", 5),
-        request_timeout=back_sec.get_float("request_timeout", 60.0),
-        decode_temperature=back_sec.get_float("decode_temperature", 0.1),
-    )
-    back_sec.finish()
-    if backend.kind not in ("mock", "chat"):
+    backend = read("agents", BackendSettings)
+    if backend.backend not in ("mock", "chat"):
         raise ConfigError(f"{path}: agent backend must be 'mock' or 'chat'")
-    if backend.kind == "chat" and not backend.endpoint:
+    if backend.backend == "chat" and not backend.endpoint:
         raise ConfigError(f"{path}: chat backend requires an endpoint")
-
-    summ_sec = take("summarizer")
-    summarizer = SummarizerSettings(
-        kind=summ_sec.get_str("backend", "mock"),
-        final_at_step=summ_sec.get_int("final_at_step", 0),
-        endpoint=summ_sec.get_str("endpoint", ""),
-        model_ref=summ_sec.get_str("model_ref", "summarizer"),
-    )
-    summ_sec.finish()
-    if summarizer.kind not in ("mock", "chat"):
+    summarizer = read("summarizer", SummarizerSettings)
+    if summarizer.backend not in ("mock", "chat"):
         raise ConfigError(f"{path}: summarizer backend must be 'mock' or 'chat'")
-    if summarizer.kind == "chat" and not summarizer.endpoint:
+    if summarizer.backend == "chat" and not summarizer.endpoint:
         raise ConfigError(f"{path}: chat summarizer requires an endpoint")
-
-    train_sec = take("training")
-    training = TrainingSettings(
-        lr=train_sec.get_float("lr", 1e-3),
-        batch_size=train_sec.get_int("batch_size", 8),
-        epochs=train_sec.get_int("epochs", 3),
-        loss_kind=train_sec.get_str("loss", "ranking"),
-        beta1=train_sec.get_float("beta1", 0.9),
-        beta2=train_sec.get_float("beta2", 0.999),
-        epsilon=train_sec.get_float("epsilon", 1e-8),
-        weight_decay=train_sec.get_float("weight_decay", 0.01),
-        clip_norm=train_sec.get_float("clip_norm", 1.0),
-        triplet_margin=train_sec.get_float("triplet_margin", 0.1),
-    )
-    train_sec.finish()
-    if training.batch_size < 1 or training.epochs < 1:
-        raise ConfigError(f"{path}: batch_size and epochs must be >= 1")
-
-    paths_sec = take("paths")
-    paths = {
-        "params_in": paths_sec.get_str("params_in", ""),
-        "params_out": paths_sec.get_str("params_out", "params.bin"),
-        "trace_out": paths_sec.get_str("trace_out", "trace.jsonl"),
-        "metrics_out": paths_sec.get_str("metrics_out", "metrics.csv"),
-    }
-    paths_sec.finish()
+    training = read("training", TrainingSettings)
+    paths = read("paths", PathSettings)
 
     agent_entries = {}
     for name in list(sections):
@@ -314,25 +267,10 @@ def load_config(path) -> RunConfig:
     profiles = []
     for agent_id in range(router.pool_size):
         sec = agent_entries[agent_id]
-        profile_text = sec.get_str("profile", "")
-        if not profile_text:
-            raise ConfigError(
-                f"{path}: agent {agent_id} needs a non-empty 'profile'")
-        specs.append(AgentSpec(
-            agent_id=agent_id,
-            model_ref=sec.get_str("model_ref", "mock"),
-            profile_text=profile_text,
-            tool_names=_parse_tools(sec, "tools"),
-        ))
+        specs.append(_parse_spec(sec, agent_id))
         skills = _parse_skills(sec, "skills")
-        profiles.append(MockProfile(
-            agent_id=agent_id,
-            skill_map=skills,
-            response_template=sec.get_str("template",
-                                          MockProfile.response_template),
-            vocab_size=sec.get_int("vocab_size", 16),
-            tokens_per_response=sec.get_int("tokens_per_response", 12),
-        ))
+        profiles.append(MockProfile(**sec.fields_of(
+            MockProfile, agent_id=agent_id, skill_map=skills)))
         sec.finish()
 
     return RunConfig(router=router, embedder=embedder, backend=backend,
@@ -347,14 +285,14 @@ def build_runtime(run: RunConfig) -> Runtime:
                                api_key=api_key, max_chars=run.embedder.max_chars)
     else:
         embed = HashEmbedder(run.router.embed_dim, max_chars=run.embedder.max_chars)
-    if run.backend.kind == "chat":
+    if run.backend.backend == "chat":
         pool = ChatPoolBackend(run.specs, run.backend.endpoint, api_key=api_key,
                                timeout=run.backend.request_timeout,
                                top_logprobs=run.backend.top_logprobs,
                                temperature=run.backend.decode_temperature)
     else:
         pool = MockPoolBackend(run.specs, run.profiles)
-    if run.summarizer.kind == "chat":
+    if run.summarizer.backend == "chat":
         summarizer = ChatSummarizer(run.summarizer.endpoint,
                                     run.summarizer.model_ref, api_key=api_key)
     else:
@@ -364,8 +302,8 @@ def build_runtime(run: RunConfig) -> Runtime:
 
 
 def _initial_params(run: RunConfig):
-    if run.paths["params_in"]:
-        params, _ = load_params(run.paths["params_in"], run.router)
+    if run.paths.params_in:
+        params, _ = load_params(run.paths.params_in, run.router)
         return params
     return init_params(run.router)
 
@@ -407,13 +345,13 @@ def cmd_train(config_path, queries_path, seed=None) -> int:
     queries = _read_queries(queries_path)
     params = _initial_params(run)
     report = train(runtime, queries, params, run.router, run.training)
-    save_params(run.paths["params_out"], report.params, run.router)
-    _write_metrics(run.paths["metrics_out"], report)
+    save_params(run.paths.params_out, report.params, run.router)
+    _write_metrics(run.paths.metrics_out, report)
     print(f"trained on {len(queries)} queries for {run.training.epochs} epochs")
     print(f"final epoch mean loss: {report.epoch_losses[-1]:.6f}")
     print(f"routing agreement (final epoch): {report.routing_agreement:.3f}")
-    print(f"params -> {run.paths['params_out']}")
-    print(f"metrics -> {run.paths['metrics_out']}")
+    print(f"params -> {run.paths.params_out}")
+    print(f"metrics -> {run.paths.metrics_out}")
     return 0
 
 
@@ -426,7 +364,7 @@ def cmd_infer(config_path, query=None, queries_path=None, seed=None) -> int:
     params = _initial_params(run)
     trajectories = [infer(runtime, q, params, run.router, query_index=i)
                     for i, q in enumerate(queries)]
-    write_trace(run.paths["trace_out"], trajectories)
+    write_trace(run.paths.trace_out, trajectories)
     if query is not None:
         print(trajectories[0].final_answer)
     else:
@@ -441,7 +379,7 @@ def cmd_infer(config_path, query=None, queries_path=None, seed=None) -> int:
                   f" terminated_by={traj.terminated_by}")
         print(f"total: queries={len(trajectories)} agent_calls={total_calls}"
               f" tokens={total_tokens}")
-    print(f"trace -> {run.paths['trace_out']}", file=sys.stderr)
+    print(f"trace -> {run.paths.trace_out}", file=sys.stderr)
     return 0
 
 
@@ -452,13 +390,13 @@ def cmd_ttt(config_path, queries_path, t_dense, seed=None) -> int:
     params = _initial_params(run)
     adapted, trajectories = test_time_train(runtime, queries, params,
                                             run.router, run.training, t_dense)
-    save_params(run.paths["params_out"], adapted, run.router)
-    write_trace(run.paths["trace_out"], trajectories)
+    save_params(run.paths.params_out, adapted, run.router)
+    write_trace(run.paths.trace_out, trajectories)
     dense = sum(1 for t in trajectories if t.steps and t.steps[0].entropy_E is not None)
     print(f"adapted on {dense} dense queries; served {len(trajectories) - dense}"
           " sparse queries")
-    print(f"params -> {run.paths['params_out']}")
-    print(f"trace -> {run.paths['trace_out']}")
+    print(f"params -> {run.paths.params_out}")
+    print(f"trace -> {run.paths.trace_out}")
     return 0
 
 
@@ -528,17 +466,17 @@ def cmd_simulate(config_path, topology, seed=None) -> int:
     traj = infer(runtime, f"[tag:default] topology probe: {topology}", params,
                  run.router,
                  logit_override=lambda step: _schedule_logits(schedule(step), n))
-    write_trace(run.paths["trace_out"], [traj])
+    write_trace(run.paths.trace_out, [traj])
     for record in traj.steps:
         print(f"step {record.step_index}: agents {sorted(record.selected_ids)}")
-    problems = verify_topology_trace(read_trace(run.paths["trace_out"])[0],
+    problems = verify_topology_trace(read_trace(run.paths.trace_out)[0],
                                      topology, n, runtime.embed)
     if problems:
         for problem in problems:
             print(f"verification failed: {problem}", file=sys.stderr)
         return 1
     print(f"{topology} pattern verified over {len(traj.steps)} steps")
-    print(f"trace -> {run.paths['trace_out']}")
+    print(f"trace -> {run.paths.trace_out}")
     return 0
 
 

@@ -67,6 +67,8 @@ def validate_config(config: RouterConfig) -> RouterConfig:
         raise ConfigError("max_route must be a positive integer")
     if not (float(config.temperature) > 0.0):
         raise ConfigError("temperature must be positive")
+    if not math.isfinite(config.temperature):
+        raise ConfigError("temperature must be finite")
     if not isinstance(config.embed_dim, int) or config.embed_dim < 1:
         raise ConfigError("embed_dim must be a positive integer")
     if not isinstance(config.max_steps, int) or config.max_steps < 1:

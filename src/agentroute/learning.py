@@ -14,14 +14,51 @@ ranking pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ConfigError
 from .numerics import global_norm, sigmoid, softmax, softplus
 from .router import RouterParams, _tensor_at
 
 LOSS_KINDS = ("ranking", "mse", "listmle", "triplet")
+
+
+@dataclass(frozen=True)
+class TrainingSettings:
+    """Optimization hyperparameters plus loop shape: the AdamW settings
+    (lr, beta1, beta2, epsilon, weight_decay), the global-norm clip, the
+    batch size and epoch count, and the loss with its triplet margin. A
+    value out of range raises ConfigError naming its field."""
+
+    lr: float = 1e-3
+    batch_size: int = 8
+    epochs: int = 3
+    loss_kind: str = "ranking"
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    weight_decay: float = 0.01
+    clip_norm: float = 1.0
+    triplet_margin: float = 0.1
+
+    def __post_init__(self):
+        for name, ok, rule in (
+                ("lr", 0.0 < self.lr < math.inf, "finite and > 0"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("loss_kind", self.loss_kind in LOSS_KINDS, f"one of {LOSS_KINDS}"),
+                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                ("epsilon", 0.0 < self.epsilon < math.inf, "finite and > 0"),
+                ("weight_decay", 0.0 <= self.weight_decay < math.inf, "finite and >= 0"),
+                ("clip_norm", 0.0 < self.clip_norm < math.inf, "finite and > 0"),
+                ("triplet_margin", 0.0 <= self.triplet_margin < math.inf,
+                 "finite and >= 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}")
 
 
 def _entropy(dist) -> float:
@@ -170,15 +207,6 @@ def clip_gradients(grads: RouterParams, clip_norm: float) -> RouterParams:
     return grads
 
 
-@dataclass(frozen=True)
-class AdamWHyper:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.01
-
-
 # Elements per pass of the AdamW update: the chunk's slices of the six
 # flat vectors it touches stay in cache between the update's operations.
 # At d=384, 16K to 64K timed alike and 128K was slower.
@@ -187,26 +215,23 @@ ADAMW_CHUNK = 32768
 
 @dataclass
 class OptimizerState:
-    """AdamW state: the step count, the hyperparameters, and buffers that
-    are all None until first used, so setting up an optimizer costs
-    nothing. `moments` holds the first moment in row 0 and the second in
-    row 1, each row laid out like the parameters' flat vector. `params` are
-    the parameters the state owns: `adamw_step` returns them, writes its
+    """AdamW state: the training settings it reads its hyperparameters
+    from, the step count, and buffers that are all None until first used,
+    so setting up an optimizer, `OptimizerState(settings)`, costs nothing.
+    `moments` holds the first moment in row 0 and the second in row 1,
+    each row laid out like the parameters' flat vector. `params` are the
+    parameters the state owns: `adamw_step` returns them, writes its
     first update into them, and updates them in place on every later step
     that is given them back. `scratch` holds the update's intermediates,
     and `grads` are the gradients the training loop asks `reduce_gradients`
     to fill for every batch."""
 
-    step_count: int
-    hyper: AdamWHyper
+    hyper: TrainingSettings
+    step_count: int = 0
     moments: np.ndarray | None = None
     params: RouterParams | None = None
     scratch: np.ndarray | None = None
     grads: RouterParams | None = None
-
-
-def init_optimizer(params, hyper: AdamWHyper) -> OptimizerState:
-    return OptimizerState(step_count=0, hyper=hyper)
 
 
 def adamw_step(params: RouterParams, grads: RouterParams,

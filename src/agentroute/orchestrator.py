@@ -32,8 +32,8 @@ from .agents import Final, TransportError, assemble_prompt, \
     summarize_final, summarizer_decide
 from .core import ConfigError, RouterConfig, StepRecord, STEP_LIMIT, SUMMARIZER, \
     Trajectory, derive_seed, new_trajectory, validate_config
-from .learning import AdamWHyper, adamw_step, clip_gradients, confidence, \
-    get_loss, init_optimizer, total_loss
+from .learning import OptimizerState, TrainingSettings, adamw_step, \
+    clip_gradients, confidence, get_loss, total_loss
 from .numerics import softmax, softmax_vjp
 from .router import ForwardPass, RouterParams, attach_responses, \
     backward_trajectory, init_state, reduce_gradients, route_step, select
@@ -53,26 +53,6 @@ class Runtime:
     summarizer: object
     embed: object
     max_workers: int = 1
-
-
-@dataclass(frozen=True)
-class TrainingSettings:
-    """Optimization hyperparameters plus loop shape."""
-
-    lr: float = 1e-3
-    batch_size: int = 8
-    epochs: int = 3
-    loss_kind: str = "ranking"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.01
-    clip_norm: float = 1.0
-    triplet_margin: float = 0.1
-
-    def adamw(self) -> AdamWHyper:
-        return AdamWHyper(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                          epsilon=self.epsilon, weight_decay=self.weight_decay)
 
 
 @dataclass
@@ -224,7 +204,7 @@ def _dense_pass(runtime: Runtime, query: str, params: RouterParams,
         steps.append(step)
     mean_loss = total_loss(losses)
     scale = 1.0 / len(steps)
-    forward = ForwardPass(steps=steps, params=params, config=config)
+    forward = ForwardPass(steps=steps, params=params)
     rows = backward_trajectory(forward, [dz * scale for dz in dz_list])
     if traj is not None:
         traj.final_answer = summarize_final(query, routed, runtime.summarizer)
@@ -289,7 +269,7 @@ def train(runtime: Runtime, queries, params: RouterParams, config: RouterConfig,
         raise ValueError("at least one training query is required")
     if runtime.pool.size != config.pool_size:
         raise ConfigError("pool size does not match config.pool_size")
-    state = init_optimizer(params, settings.adamw())
+    state = OptimizerState(settings)
     report = TrainReport()
     for epoch in range(1, settings.epochs + 1):
         params, results = _dense_epoch(runtime, queries, params, config, settings,
@@ -338,7 +318,7 @@ def test_time_train(runtime: Runtime, queries, params: RouterParams,
         raise ConfigError("pool size does not match config.pool_size")
     dense, sparse = queries[:t_dense], queries[t_dense:]
     params, results = _dense_epoch(runtime, dense, params, config, settings,
-                                   init_optimizer(params, settings.adamw()),
+                                   OptimizerState(settings),
                                    "ttt:", make_trajectory=True)
     trajectories: list[Trajectory] = [traj for batch_results in results
                                       for _, _, traj in batch_results]

@@ -244,7 +244,6 @@ class ForwardPass:
 
     steps: list[StepCache]
     params: RouterParams
-    config: RouterConfig
 
 
 def forward_trajectory(query_embedding: np.ndarray, step_response_embeddings,
@@ -276,7 +275,7 @@ def forward_trajectory(query_embedding: np.ndarray, step_response_embeddings,
         x = attach_responses(step, responses[list(step.selected_ids)])
         h = step.h
         steps.append(step)
-    return ForwardPass(steps=steps, params=params, config=config)
+    return ForwardPass(steps=steps, params=params)
 
 
 @dataclass

@@ -4,16 +4,20 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from agentroute.cli import (build_runtime, cmd_gradcheck, cmd_infer, cmd_simulate,
-                            cmd_train, cmd_ttt, load_config, main,
-                            verify_topology_trace)
-from agentroute.core import ConfigError, read_trace, RouterConfig
+from agentroute.agents import MockProfile
+from agentroute.cli import (BackendSettings, EmbedderSettings, PathSettings,
+                            SummarizerSettings, build_runtime, cmd_gradcheck,
+                            cmd_infer, cmd_simulate, cmd_train, cmd_ttt,
+                            load_config, main, verify_topology_trace)
+from agentroute.core import AgentSpec, ConfigError, read_trace, RouterConfig
+from agentroute.learning import TrainingSettings
 from agentroute.embed import HashEmbedder
 from agentroute.router import RouterParams, init_params, save_params
 from agentroute.synthetic import make_queries
@@ -185,6 +189,22 @@ def test_load_config_validates_router_invariants(tmp_path):
     path.write_text(text)
     with pytest.raises(ConfigError, match="temperature must be positive"):
         load_config(path)
+
+
+def test_load_config_takes_every_default_from_its_dataclass(tmp_path):
+    path = tmp_path / "minimal.conf"
+    path.write_text("[router]\npool_size = 1\nmax_route = 1\n"
+                    "[agent 0]\nprofile = p\n")
+    run = load_config(path)
+    assert run.router == RouterConfig(pool_size=1, max_route=1)
+    assert run.training == TrainingSettings()
+    assert run.embedder == EmbedderSettings()
+    assert run.backend == BackendSettings()
+    assert run.summarizer == SummarizerSettings()
+    assert run.paths == PathSettings()
+    assert run.specs == [AgentSpec(agent_id=0, model_ref="mock", profile_text="p")]
+    assert run.profiles == [MockProfile(agent_id=0,
+                                        skill_map={"default": (1.0, 0.0)})]
 
 
 # --- train / infer round trip ---
@@ -483,6 +503,29 @@ def test_main_rejects_a_nan_training_float_with_its_line(tmp_path, capsys, key):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {config}:{line}: key '{key}' must be a number\n"
+    assert not (tmp_path / "params.bin").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("loss = ranking", "loss = ranking\nbeta1 = inf", r"beta1 must be in \[0, 1\)"),
+    ("temperature = 0.1", "temperature = inf", "temperature must be finite"),
+], ids=["beta1", "temperature"])
+def test_main_rejects_an_infinite_setting_before_training(tmp_path, capsys, old,
+                                                           new, message):
+    # float() parses "inf"; an infinite beta1 would overflow the AdamW
+    # moments and an infinite temperature would route max_route agents on
+    # every step.
+    config = write_config(tmp_path / "run.conf")
+    config.write_text(config.read_text().replace(old, new))
+    queries = write_queries(tmp_path / "q.txt", make_queries(["alpha"], 4, seed=1))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(config), "--queries", str(queries)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(f"error: {message}\n", err), err
     assert not (tmp_path / "params.bin").exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ def test_validate_config_rejects_zero_temperature():
     ("embed_dim", 0, "embed_dim"),
     ("max_steps", 0, "max_steps"),
     ("train_steps", 0, "train_steps"),
+    # an infinite temperature would route max_route agents on every step
+    ("temperature", math.inf, "temperature must be finite"),
     ("seed", -1, "seed"),
     ("seed", 2 ** 64, "seed"),
 ])

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from agentroute import learning, router
-from agentroute.core import RouterConfig
-from agentroute.learning import (AdamWHyper, adamw_step, clip_gradients,
-                                 confidence, get_loss, init_optimizer,
+from agentroute.core import ConfigError, RouterConfig
+from agentroute.learning import (OptimizerState, TrainingSettings, adamw_step,
+                                 clip_gradients, confidence, get_loss,
                                  listmle_loss, listmle_loss_grad, mse_loss,
                                  mse_loss_grad, predictive_entropy, ranking_loss,
                                  ranking_loss_grad, total_loss, triplet_loss,
@@ -284,11 +284,41 @@ def test_global_norm_sums_one_dot_per_tensor_in_field_order():
     assert flat_differs
 
 
+# --- training settings ---
+
+BAD_SETTINGS = {
+    "lr": [0.0, -1e-3, math.inf, math.nan],
+    "beta1": [-0.1, 1.0, math.inf, math.nan],
+    "beta2": [-0.1, 1.0, 2.0, math.nan],
+    "epsilon": [0.0, -1e-8, math.inf, math.nan],
+    "weight_decay": [-0.01, math.inf, math.nan],
+    "triplet_margin": [-0.1, math.inf, math.nan],
+    "clip_norm": [0.0, -1.0, math.inf, math.nan],
+    "batch_size": [0, -1],
+    "epochs": [0, -1],
+    "loss_kind": ["hinge", ""],
+}
+
+
+@pytest.mark.parametrize("field", list(BAD_SETTINGS))
+def test_training_settings_reject_each_out_of_range_value(field):
+    for value in BAD_SETTINGS[field]:
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            TrainingSettings(**{field: value})
+
+
+def test_training_settings_accept_the_edges_of_their_ranges():
+    TrainingSettings(beta1=0.0, beta2=0.0, weight_decay=0.0, triplet_margin=0.0,
+                     batch_size=1, epochs=1, lr=1e300, clip_norm=1e-300)
+    for kind in learning.LOSS_KINDS:
+        assert TrainingSettings(loss_kind=kind).loss_kind == kind
+
+
 # --- AdamW ---
 
 def test_adamw_zero_grads_zero_decay_is_fixed_point():
     params = _filled(1.5)
-    state = init_optimizer(params, AdamWHyper(weight_decay=0.0))
+    state = OptimizerState(TrainingSettings(weight_decay=0.0))
     out = adamw_step(params, _filled(0.0), state)
     np.testing.assert_array_equal(out.flat, params.flat)
     np.testing.assert_array_equal(state.moments[0], 0.0)
@@ -300,7 +330,7 @@ def test_adamw_matches_scripted_recurrences():
     # frozen from a throwaway script evaluating the update equations on one
     # scalar (theta0=0.5, grad 1.0, defaults); every entry follows it
     params = _filled(0.5)
-    state = init_optimizer(params, AdamWHyper())
+    state = OptimizerState(TrainingSettings())
     step1 = adamw_step(params, _filled(1.0), state)
     assert np.all(np.abs(step1.flat - 0.49899500001) <= 1e-15)
     step2 = adamw_step(step1, _filled(1.0), state)
@@ -311,7 +341,7 @@ def test_adamw_matches_scripted_recurrences():
 
 def test_adamw_first_step_without_decay_is_almost_lr():
     params = _filled(0.0)
-    state = init_optimizer(params, AdamWHyper(weight_decay=0.0))
+    state = OptimizerState(TrainingSettings(weight_decay=0.0))
     out = adamw_step(params, _filled(1.0), state)
     assert np.all(np.abs(out.flat - (-0.0009999999900000003)) <= 1e-18)
 
@@ -319,7 +349,7 @@ def test_adamw_first_step_without_decay_is_almost_lr():
 def test_adamw_is_deterministic():
     def run():
         params = RouterParams(np.tile([0.3, -0.2], 6), 1, 1)
-        state = init_optimizer(params, AdamWHyper())
+        state = OptimizerState(TrainingSettings())
         for _ in range(5):
             params = adamw_step(params, RouterParams(np.tile([0.5, -1.0], 6), 1, 1),
                                 state)
@@ -331,7 +361,7 @@ def test_adamw_rejects_non_finite_grads():
     params = _filled(0.5)
     grads = _filled(0.0)
     grads.w_r[0, 0] = np.inf
-    state = init_optimizer(params, AdamWHyper())
+    state = OptimizerState(TrainingSettings())
     with pytest.raises(ValueError, match="w_r$"):
         adamw_step(params, grads, state)
 
@@ -368,8 +398,8 @@ def test_adamw_is_bit_identical_to_the_reference(weight_decay):
         return RouterParams(sign * 10.0 ** rng.uniform(-8.0, 2.0, size=size), 3, 2)
 
     params = RouterParams(rng.normal(size=size), 3, 2)
-    hyper = AdamWHyper(lr=1e-2, weight_decay=weight_decay)
-    state = init_optimizer(params, hyper)
+    hyper = TrainingSettings(lr=1e-2, weight_decay=weight_decay)
+    state = OptimizerState(hyper)
     ref_params = params
     ref_moments = tuple(RouterParams(np.zeros(size), 3, 2) for _ in range(2))
     for t in range(1, 7):
@@ -384,7 +414,7 @@ def test_adamw_is_bit_identical_to_the_reference(weight_decay):
 
 def test_adamw_creates_moments_on_first_step():
     params = RouterParams(np.tile([0.5, -0.5], 6), 1, 1)
-    state = init_optimizer(params, AdamWHyper())
+    state = OptimizerState(TrainingSettings())
     assert state.moments is None
     adamw_step(params, RouterParams(np.tile([1.0, 2.0], 6), 1, 1), state)
     assert state.moments.shape == (2, 12)
@@ -407,7 +437,7 @@ def _router_params_and_grads(seed, d=4, n=3):
 def test_adamw_updates_its_own_vector_in_place_after_the_first_step():
     params, grad_steps = _router_params_and_grads(seed=29, d=64, n=8)
     before = params.flat.tobytes()
-    state = init_optimizer(params, AdamWHyper())
+    state = OptimizerState(TrainingSettings())
     first = adamw_step(params, grad_steps[0], state)
     assert first is state.params
     assert not np.shares_memory(first.flat, params.flat)
@@ -425,7 +455,7 @@ def test_adamw_updates_its_own_vector_in_place_after_the_first_step():
 
 def test_adamw_given_other_params_leaves_the_previous_result_intact():
     params, grad_steps = _router_params_and_grads(seed=31)
-    state = init_optimizer(params, AdamWHyper())
+    state = OptimizerState(TrainingSettings())
     first = adamw_step(params, grad_steps[0], state)
     kept = first.flat.tobytes()
     again = adamw_step(params, grad_steps[1], state)
@@ -440,8 +470,8 @@ def test_adamw_on_flat_params_is_bit_identical_to_the_reference(chunk, monkeypat
     # boundaries fall inside tensors as well as between them.
     monkeypatch.setattr(learning, "ADAMW_CHUNK", chunk)
     params, grad_steps = _router_params_and_grads(seed=19)
-    hyper = AdamWHyper(lr=1e-2)
-    state = init_optimizer(params, hyper)
+    hyper = TrainingSettings(lr=1e-2)
+    state = OptimizerState(hyper)
     ref_params = params
     ref_moments = tuple(RouterParams(np.zeros_like(params.flat), 4, 3)
                         for _ in range(2))
@@ -462,6 +492,6 @@ def test_adamw_names_the_tensor_of_a_non_finite_update(name, index, monkeypatch)
     getattr(grads, name)[index] = np.inf
     if name != "b_out":
         grads.b_out[0] = np.nan
-    state = init_optimizer(params, AdamWHyper())
+    state = OptimizerState(TrainingSettings())
     with pytest.raises(ValueError, match=f"non-finite optimizer update for {name}$"):
         adamw_step(params, grads, state)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from agentroute import router
 from agentroute.core import RouterConfig, derive_seed
 from agentroute.gradcheck import gradient_check
-from agentroute.learning import AdamWHyper, adamw_step, init_optimizer
+from agentroute.learning import OptimizerState, TrainingSettings, adamw_step
 from agentroute.numerics import sigmoid, softmax, softmax_vjp
 from agentroute.router import (PARAM_FIELDS, RouterParams, adaptive_k,
                                attach_responses, backward_trajectory,
@@ -860,7 +860,7 @@ def test_library_params_are_views_into_one_flat_vector(tmp_path):
     grads = reduce_gradients([backward_trajectory(f, dz)
                               for f, dz in zip(forwards, upstream)])
     rebuilt = RouterParams(params.flat.copy(), 12, 6)
-    stepped = adamw_step(params, grads, init_optimizer(params, AdamWHyper()))
+    stepped = adamw_step(params, grads, OptimizerState(TrainingSettings()))
     for which in (params, loaded, grads, rebuilt, stepped):
         offset = 0
         for arr in which.tensors():
