@@ -13,6 +13,7 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import get_type_hints
 
@@ -122,6 +123,15 @@ class _Section:
                 given[f.name] = self.get(key, types[f.name], f.default)
         return given
 
+    @contextmanager
+    def blame(self):
+        """Prefix a ConfigError raised inside, such as a settings class's
+        own check, with the config path and this section."""
+        try:
+            yield
+        except ConfigError as exc:
+            raise ConfigError(f"{self.path}: [{self.name}] {exc}") from exc
+
     def finish(self):
         for key, (_, line) in self.entries.items():
             if key not in self.used:
@@ -223,14 +233,15 @@ def load_config(path) -> RunConfig:
     takes the field's default when left out."""
     sections = _parse_config_file(path)
 
-    def read(name, cls):
+    def read(name, cls, check=lambda settings: settings):
         _, entries = sections.pop(name, (0, {}))
         section = _Section(path, name, entries)
         values = section.fields_of(cls)
         section.finish()
-        return cls(**values)
+        with section.blame():
+            return check(cls(**values))
 
-    router = validate_config(read("router", RouterConfig))
+    router = read("router", RouterConfig, validate_config)
     embedder = read("embedder", EmbedderSettings)
     if embedder.kind not in ("hash", "remote"):
         raise ConfigError(f"{path}: embedder kind must be 'hash' or 'remote'")
@@ -269,8 +280,9 @@ def load_config(path) -> RunConfig:
         sec = agent_entries[agent_id]
         specs.append(_parse_spec(sec, agent_id))
         skills = _parse_skills(sec, "skills")
-        profiles.append(MockProfile(**sec.fields_of(
-            MockProfile, agent_id=agent_id, skill_map=skills)))
+        values = sec.fields_of(MockProfile, agent_id=agent_id, skill_map=skills)
+        with sec.blame():
+            profiles.append(MockProfile(**values))
         sec.finish()
 
     return RunConfig(router=router, embedder=embedder, backend=backend,

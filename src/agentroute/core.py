@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -242,47 +243,62 @@ def new_trajectory(query: str) -> Trajectory:
 # --- trace serialization (one JSON object per line) ---
 #
 # The record dataclasses are the schema: a record is written as a JSON
-# object of its fields in declaration order, and read back by passing that
-# object to the class, whose __post_init__ validates it. Floats are written
-# with 17 significant digits, enough to reconstruct the exact float64 on
-# parse, so re-serializing a parsed trace is byte-identical.
+# object of its fields in declaration order, through a `"name":%s` template
+# built once per class from its fields, and read back by passing that object
+# to the class, whose __post_init__ validates it. Floats are written with 17
+# significant digits, enough to reconstruct the exact float64 on parse, so
+# re-serializing a parsed trace is byte-identical. Each float vector takes
+# one "%.17g" format call; a whole value below 1e17, which "%.17g" writes as
+# bare digits, gets ".0" so it parses back as a float.
 
 _TRACE_FIELDS = {cls: tuple(f.name for f in fields(cls))
                  for cls in (AgentResponse, StepRecord, Trajectory)}
+_TEMPLATES = {cls: "{" + ",".join(f'"{name}":%s' for name in names) + "}"
+              for cls, names in _TRACE_FIELDS.items()}
 
 
-def _float_repr(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
+def _floats(values) -> str:
+    """The floats in `values` as comma-separated JSON numbers."""
+    text = ",".join(["%.17g.0" if x.is_integer() and -1e17 < x < 1e17 else "%.17g"
+                     for x in values]) % tuple(values)
+    if "n" in text:  # only "inf" and "nan" hold an n
         raise ValueError("refusing to serialize a non-finite float")
-    s = format(x, ".17g")
-    if "." not in s and "e" not in s:
-        s += ".0"
-    return s
+    return text
+
+
+def _sequence(value) -> str:
+    if value and type(value[0]) is float:  # AgentResponse.token_entropies
+        return f"[{_floats(value)}]"
+    return "[" + ",".join(map(_emit, value)) + "]"
+
+
+def _record(value) -> str:
+    cls = type(value)
+    return _TEMPLATES[cls] % tuple([_emit(getattr(value, name)) for name in _TRACE_FIELDS[cls]])
+
+
+# The emitter of each type a trace holds, by exact type.
+_EMITTERS = {type(None): lambda value: "null",
+             bool: lambda value: "true" if value else "false",
+             int: str,
+             float: lambda value: _floats((value,)),
+             str: encode_basestring,
+             np.ndarray: lambda value: f"[{_floats(value.tolist())}]",  # float64 only
+             list: _sequence, tuple: _sequence,
+             # Trajectory.responses: its values, sorted by (step, agent) key.
+             dict: lambda value: _sequence([value[key] for key in sorted(value)]),
+             **dict.fromkeys(_TRACE_FIELDS, _record)}
 
 
 def _emit(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    emit = _EMITTERS.get(type(value))
+    if emit is not None:
+        return emit(value)
+    if isinstance(value, np.integer):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _float_repr(value)
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, np.ndarray):  # StepRecord holds float64 arrays only
-        return "[" + ",".join(map(_float_repr, value.tolist())) + "]"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(map(_emit, value)) + "]"
-    if isinstance(value, dict):
-        # Trajectory.responses: its values, sorted by (step, agent) key.
-        return _emit([value[key] for key in sorted(value)])
-    names = _TRACE_FIELDS.get(type(value))
-    if names is None:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-    return "{" + ",".join(f'"{name}":{_emit(getattr(value, name))}' for name in names) + "}"
+    if isinstance(value, np.floating):
+        return _floats((float(value),))
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def trajectory_to_json(traj: Trajectory) -> str:

@@ -8,7 +8,9 @@ vectors enter the router.
 
 from __future__ import annotations
 
+import math
 import re
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +43,12 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+@lru_cache(maxsize=1024)
+def _token_hash(token: str) -> tuple[int, float]:
+    h = _fnv1a64(token.encode("utf-8"))
+    return h, 1.0 if _splitmix64(h) % 2 == 0 else -1.0
+
+
 def hash_embed(text: str, dim: int) -> np.ndarray:
     """Hashing-trick embedding of `text` into `dim` signed buckets.
 
@@ -49,15 +57,19 @@ def hash_embed(text: str, dim: int) -> np.ndarray:
     bucket = hash mod dim, sign = +1 when one splitmix64 round of the hash
     is even, signed counts L2-normalized. Token order is ignored. Empty
     text embeds to the zero vector, returned unnormalized.
+
+    Each token's (hash, sign) is memoised for the 1,024 latest tokens, which
+    serves the words texts repeat; the bound keeps the memo from growing by
+    the fresh nonce token of every mock response. The signed counts are
+    small integers, so one dot takes their squares exactly.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     vec = np.zeros(dim, dtype=np.float64)
     for token in _TOKEN.findall(text.lower()):
-        h = _fnv1a64(token.encode("utf-8"))
-        sign = 1.0 if _splitmix64(h) % 2 == 0 else -1.0
+        h, sign = _token_hash(token)
         vec[h % dim] += sign
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(vec.dot(vec))
     if norm > 0.0:
         vec /= norm
     return vec

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError
-from .numerics import global_norm, sigmoid, softmax, softplus
-from .router import RouterParams, _tensor_at
+from .numerics import sigmoid, softmax, softplus
+from .router import RouterParams, _tensor_at, gradient_norm
 
 LOSS_KINDS = ("ranking", "mse", "listmle", "triplet")
 
@@ -45,10 +45,12 @@ class TrainingSettings:
     triplet_margin: float = 0.1
 
     def __post_init__(self):
+        # type() is int leaves out bool, an int subclass but not a count.
         for name, ok, rule in (
                 ("lr", 0.0 < self.lr < math.inf, "finite and > 0"),
-                ("batch_size", self.batch_size >= 1, ">= 1"),
-                ("epochs", self.epochs >= 1, ">= 1"),
+                ("batch_size", type(self.batch_size) is int and self.batch_size >= 1,
+                 "an integer >= 1"),
+                ("epochs", type(self.epochs) is int and self.epochs >= 1, "an integer >= 1"),
                 ("loss_kind", self.loss_kind in LOSS_KINDS, f"one of {LOSS_KINDS}"),
                 ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
                 ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
@@ -198,10 +200,11 @@ def total_loss(per_step_losses) -> float:
 
 def clip_gradients(grads: RouterParams, clip_norm: float) -> RouterParams:
     """Scale the gradients' flat vector in place so the global L2 norm is
-    at most clip_norm; returns the same gradients."""
+    at most clip_norm; returns the same gradients. A non-finite gradient
+    raises ValueError naming its tensor (`gradient_norm`)."""
     if clip_norm <= 0.0:
         raise ValueError("clip_norm must be positive")
-    norm = global_norm(grads.tensors())
+    norm = gradient_norm(grads)
     if norm > clip_norm:
         grads.flat *= clip_norm / norm
     return grads

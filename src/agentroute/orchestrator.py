@@ -220,8 +220,8 @@ def _dense_epoch(runtime: Runtime, queries, params: RouterParams,
 
     Each query runs densely, BPTT included; each batch then turns the
     gradient rows of all its queries into the batch-mean gradient at once,
-    in the optimizer state's gradient buffer, clips it in place, and takes
-    one AdamW step. Returns the updated parameters and, per batch, the
+    in the optimizer state's gradient buffer, clips it in place (the clip's
+    norm is also its finiteness check), and takes one AdamW step. Returns the updated parameters and, per batch, the
     (loss, per-step infos, trajectory or None) of each query.
     """
     loss_fn, grad_fn = get_loss(settings.loss_kind, settings.triplet_margin)
@@ -240,7 +240,7 @@ def _dense_epoch(runtime: Runtime, queries, params: RouterParams,
             batch_results.append((loss, infos, traj))
             batch_rows.append(rows)
         state.grads = reduce_gradients(batch_rows, scale=1.0 / len(batch),
-                                       out=state.grads)
+                                       out=state.grads, check_finite=False)
         params = adamw_step(params, clip_gradients(state.grads, settings.clip_norm),
                             state)
         results.append(batch_results)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RouterConfig, derive_seed, validate_config
-from .numerics import sigmoid, softmax, softmax_vjp
+from .numerics import global_norm, sigmoid, softmax, softmax_vjp
 
 _SNAPSHOT_MAGIC = b"ARPS"
 _SNAPSHOT_VERSION = 1
@@ -363,8 +363,8 @@ def backward_trajectory(forward: ForwardPass, per_step_dz) -> BackwardRows:
     return rows
 
 
-def reduce_gradients(batch, scale: float = 1.0,
-                     out: RouterParams | None = None) -> RouterParams:
+def reduce_gradients(batch, scale: float = 1.0, out: RouterParams | None = None,
+                     check_finite: bool = True) -> RouterParams:
     """Parameter gradients of a batch of trajectories, times `scale`.
 
     `batch` holds the `BackwardRows` of each trajectory. Their rows are
@@ -373,7 +373,9 @@ def reduce_gradients(batch, scale: float = 1.0,
     multiplies the gradient rows before the products. The products and
     sums are written into `out` when it is given, so a training loop can
     reuse one gradient buffer for every batch; otherwise into new
-    parameters. Returns the gradients.
+    parameters. Returns the gradients, checked by `gradient_norm` unless
+    `check_finite` is false: a training loop that clips them leaves the
+    check to `clip_gradients`, which takes the same sums of squares.
     """
     def stacked(name):
         return np.concatenate([getattr(rows, name) for rows in batch])
@@ -389,14 +391,22 @@ def reduce_gradients(batch, scale: float = 1.0,
     for name, rows in (("b_r", da_r), ("b_u", da_u), ("b_in", da_c),
                        ("b_hn", d_rec), ("b_out", dz)):
         np.sum(rows, axis=0, out=getattr(grads, name))
-    # A tensor with a non-finite entry has a non-finite sum of squares; the
-    # elementwise check runs only then, since finite entries can overflow it.
-    with np.errstate(over="ignore"):
-        for name, arr in zip(PARAM_FIELDS, grads.tensors()):
-            flat = arr.ravel()
-            if not math.isfinite(np.dot(flat, flat)) and not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite gradient in {name}")
+    if check_finite:
+        gradient_norm(grads)
     return grads
+
+
+def gradient_norm(grads: RouterParams) -> float:
+    """The global L2 norm of the gradients, `global_norm` over their tensors
+    in PARAM_FIELDS order. A non-finite norm means a non-finite entry (finite
+    entries whose squares overflow are rescaled there), and raises
+    ValueError naming the first tensor that holds one."""
+    norm = global_norm(grads.tensors())
+    if not math.isfinite(norm):
+        for name, arr in zip(PARAM_FIELDS, grads.tensors()):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite gradient in {name}")
+    return norm
 
 
 # --- parameter snapshots ---

@@ -473,9 +473,10 @@ def test_main_reports_an_unknown_tag_without_default(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("skill, message", [
-    ("alpha:2.0:nan", r"jitter for tag 'alpha' must be finite and non-negative"),
-    ("alpha:2.0:inf", r"jitter for tag 'alpha' must be finite and non-negative"),
-    ("alpha:nan:0.1", r"target entropy for tag 'alpha' must lie in \[0, ln vocab_size\]"),
+    ("alpha:2.0:nan", r"\S+: \[agent 0\] jitter for tag 'alpha' must be finite and non-negative"),
+    ("alpha:2.0:inf", r"\S+: \[agent 0\] jitter for tag 'alpha' must be finite and non-negative"),
+    ("alpha:nan:0.1",
+     r"\S+: \[agent 0\] target entropy for tag 'alpha' must lie in \[0, ln vocab_size\]"),
     ("alpha:2.0:x", r"\S+:\d+: skill entropy and jitter must be numbers"),
 ], ids=["nan-jitter", "inf-jitter", "nan-target", "not-a-number"])
 def test_main_reports_a_non_finite_skill_as_one_error_line(tmp_path, capsys, skill, message):
@@ -507,8 +508,9 @@ def test_main_rejects_a_nan_training_float_with_its_line(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("loss = ranking", "loss = ranking\nbeta1 = inf", r"beta1 must be in \[0, 1\)"),
-    ("temperature = 0.1", "temperature = inf", "temperature must be finite"),
+    ("loss = ranking", "loss = ranking\nbeta1 = inf",
+     r"\S+: \[training\] beta1 must be in \[0, 1\)"),
+    ("temperature = 0.1", "temperature = inf", r"\S+: \[router\] temperature must be finite"),
 ], ids=["beta1", "temperature"])
 def test_main_rejects_an_infinite_setting_before_training(tmp_path, capsys, old,
                                                            new, message):
@@ -527,6 +529,20 @@ def test_main_rejects_an_infinite_setting_before_training(tmp_path, capsys, old,
     assert out == ""
     assert re.fullmatch(f"error: {message}\n", err), err
     assert not (tmp_path / "params.bin").exists()
+
+
+def test_main_names_the_agent_section_of_a_bad_profile_value(tmp_path, capsys):
+    # Eight [agent i] sections share their keys; the error must say which
+    # one holds the bad value.
+    config = write_config(tmp_path / "run.conf", pool_size=8)
+    sections = config.read_text().split("[agent ")
+    sections[6] = sections[6].replace("\n", "\nvocab_size = 1\n", 1)
+    config.write_text("[agent ".join(sections))
+    capsys.readouterr()
+    assert main(["infer", "--config", str(config), "--query", "[tag:alpha] q"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {config}: [agent 5] vocab_size must lie in [2, 2**32]\n"
 
 
 # Port 9 (discard) has no listener, so every request is refused at once.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from agentroute.core import (AgentResponse, ConfigError, RouterConfig, StepRecord,
                              STEP_LIMIT, SUMMARIZER, Trajectory, derive_seed, new_trajectory,
                              read_trace, trajectory_from_json, trajectory_to_json,
-                             validate_config, write_trace, _float_repr)
+                             validate_config, write_trace)
+from agentroute.core import _floats as render_floats
 
 
 def test_validate_config_accepts_paper_defaults():
@@ -156,6 +158,7 @@ def _full_trajectory():
 def test_trajectory_json_round_trip_is_byte_identical():
     traj = _full_trajectory()
     line = trajectory_to_json(traj)
+    assert line == _reference_emit(traj)
     rebuilt = trajectory_from_json(line)
     assert trajectory_to_json(rebuilt) == line
     assert rebuilt.query == traj.query
@@ -199,8 +202,11 @@ def test_read_trace_names_the_line_that_is_not_a_trajectory(tmp_path, how):
 
 
 # Finite doubles, weighted toward the edge cases: the smallest subnormal,
-# negative zero, the smallest normal and the largest magnitudes.
-_EDGE_FLOATS = (5e-324, -5e-324, -0.0, 1e308, -1e308, 2.2250738585072014e-308)
+# negative zero, the smallest normal and the largest magnitudes, and whole
+# values on both sides of 1e17, where "%.17g" starts to write an exponent.
+_EDGE_FLOATS = (5e-324, -5e-324, -0.0, 1e308, -1e308, 2.2250738585072014e-308,
+                0.0, 1.0, -3.0, 1e16, 99999999999999984.0, -99999999999999984.0,
+                1e17, -1e17, float(2 ** 60))
 _floats = st.one_of(st.sampled_from(_EDGE_FLOATS),
                     st.floats(allow_nan=False, allow_infinity=False))
 
@@ -245,7 +251,84 @@ def test_trace_bytes_round_trip_for_random_trajectories(traj):
 
 def test_float_rendering_keeps_doubles_exact():
     for value in (0.1, 1 / 3, 1.0, -0.0, 1e-300, 12345.678901234567, 2 ** -52):
-        assert float(_float_repr(value)) == value
+        assert float(render_floats([value])) == value
     # whole floats keep a decimal marker so they parse back as floats
-    assert _float_repr(1.0) == "1.0"
-    assert "." in _float_repr(-4.0) or "e" in _float_repr(-4.0)
+    assert render_floats([1.0]) == "1.0"
+    assert "." in render_floats([-4.0]) or "e" in render_floats([-4.0])
+    assert render_floats([1e16, 99999999999999984.0, 1e17, -0.0]) == \
+        "10000000000000000.0,99999999999999984.0,1e+17,-0.0"
+
+
+# The per-value walk the trace writer used before rendering each float
+# vector in one format call; the writer must match it byte for byte.
+
+def _reference_float_repr(x: float) -> str:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("refusing to serialize a non-finite float")
+    s = format(x, ".17g")
+    if "." not in s and "e" not in s:
+        s += ".0"
+    return s
+
+
+_REFERENCE_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls))
+                     for cls in (AgentResponse, StepRecord, Trajectory)}
+
+
+def _reference_emit(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _reference_float_repr(value)
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, np.ndarray):
+        return "[" + ",".join(map(_reference_float_repr, value.tolist())) + "]"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_reference_emit, value)) + "]"
+    if isinstance(value, dict):
+        return _reference_emit([value[key] for key in sorted(value)])
+    names = _REFERENCE_FIELDS[type(value)]
+    return "{" + ",".join(f'"{name}":{_reference_emit(getattr(value, name))}'
+                          for name in names) + "}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_trajectories())
+def test_trace_bytes_equal_the_per_value_reference(traj):
+    assert trajectory_to_json(traj) == _reference_emit(traj)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_floats, max_size=70))
+def test_float_vector_equals_the_per_value_reference(values):
+    expected = ",".join(map(_reference_float_repr, values))
+    assert render_floats(values) == expected
+    assert render_floats(np.array(values, dtype=np.float64).tolist()) == expected
+
+
+def _set_float(traj, where, value):
+    step, response = traj.steps[0], traj.responses[(1, 2)]
+    if where == "predictive_entropy":
+        response.predictive_entropy = value
+    elif where == "token_entropies":
+        response.token_entropies = (0.5, value)
+    else:
+        getattr(step, where)[0] = value
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["logits_z", "count_probs", "alpha", "context_X",
+                                   "entropy_E", "token_entropies", "predictive_entropy"])
+def test_trace_writer_refuses_a_non_finite_float_in_every_float_field(where, value):
+    traj = _full_trajectory()
+    _set_float(traj, where, value)
+    with pytest.raises(ValueError, match="non-finite float"):
+        trajectory_to_json(traj)
+    with pytest.raises(ValueError, match="non-finite float"):
+        _reference_emit(traj)

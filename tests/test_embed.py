@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from agentroute import embed
 from agentroute.embed import (HashEmbedder, RemoteEmbedError, RemoteEmbedder,
                               hash_embed, remote_embed)
 
@@ -59,6 +61,44 @@ def test_hash_embed_case_and_punctuation_folding():
 def test_hash_embed_rejects_bad_dim():
     with pytest.raises(ValueError):
         hash_embed("x", 0)
+
+
+def _reference_hash_embed(text, dim):
+    # hash_embed as it was before it memoised token hashes: FNV-1a and
+    # splitmix64 per token, and the norm from np.linalg.norm.
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in embed._TOKEN.findall(text.lower()):
+        h = embed._fnv1a64(token.encode("utf-8"))
+        sign = 1.0 if embed._splitmix64(h) % 2 == 0 else -1.0
+        vec[h % dim] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+# Words that repeat, so the memo serves some tokens and computes others.
+_WORDS = st.sampled_from(["agent", "step", "1", "alpha", "Finding", "x9", "ß",
+                          "über", "42", "beta", "nonce", "a1b2c3d4"])
+_TEXTS = st.one_of(st.text(max_size=80),
+                   st.lists(_WORDS, max_size=30).map(" ".join))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_TEXTS, st.sampled_from([1, 2, 16, 64, 384]))
+def test_hash_embed_equals_the_per_token_reference(text, dim):
+    assert hash_embed(text, dim).tobytes() == _reference_hash_embed(text, dim).tobytes()
+
+
+def test_token_memo_stays_bounded_under_unique_tokens():
+    # Every mock response carries a fresh nonce token; the memo must not
+    # grow with the number of responses embedded.
+    maxsize = embed._token_hash.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 1024
+    for i in range(10_000):
+        text = f"agent {i % 8} step 1 finding: {i * 2654435761 % 2 ** 32:08x}"
+        assert hash_embed(text, 16).tobytes() == _reference_hash_embed(text, 16).tobytes()
+    assert embed._token_hash.cache_info().currsize <= maxsize
 
 
 def test_hash_embedder_caps_characters():

@@ -253,6 +253,15 @@ def test_clip_scales_a_finite_gradient_whose_squares_overflow():
     assert clip_gradients(one, 1.0).flat[:2].tolist() == [1.0, 1e-200]
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_clip_names_the_tensor_of_a_non_finite_gradient(value):
+    grads = _filled(0.5)
+    grads.u_n[0, 0] = value
+    grads.b_out[0] = value
+    with pytest.raises(ValueError, match="^non-finite gradient in u_n$"):
+        clip_gradients(grads, 1.0)
+
+
 def test_global_norm_of_non_finite_entries_stays_non_finite():
     assert global_norm([np.array([np.inf, 1e200]), np.ones(2)]) == math.inf
     assert math.isnan(global_norm([np.array([np.nan, 1e200]), np.ones(2)]))
@@ -294,8 +303,8 @@ BAD_SETTINGS = {
     "weight_decay": [-0.01, math.inf, math.nan],
     "triplet_margin": [-0.1, math.inf, math.nan],
     "clip_norm": [0.0, -1.0, math.inf, math.nan],
-    "batch_size": [0, -1],
-    "epochs": [0, -1],
+    "batch_size": [0, -1, 2.5, 8.0, True, "8", None],
+    "epochs": [0, -1, 1.5, 3.0, True, False, "3"],
     "loss_kind": ["hinge", ""],
 }
 

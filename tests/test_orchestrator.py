@@ -422,3 +422,23 @@ def test_ttt_names_the_dense_query_an_agent_failed_in():
                        match="training query 7 failed: agent 0 unreachable"):
         test_time_train(runtime, queries, init_params(config), config,
                         TrainingSettings(batch_size=4, epochs=1), 10)
+
+
+def test_training_takes_the_gradient_sums_of_squares_once_per_batch(monkeypatch):
+    # The finiteness check and the clip norm share one pass over the
+    # gradient: 12 queries in batches of 4 over 2 epochs are 6 batches.
+    from agentroute import router
+    calls = []
+    real_norm = router.global_norm
+
+    def counted(arrays):
+        calls.append(len(arrays))
+        return real_norm(arrays)
+
+    monkeypatch.setattr(router, "global_norm", counted)
+    runtime = _runtime(4, experts={"alpha": (1, 2)})
+    config = _config()
+    settings = TrainingSettings(batch_size=4, epochs=2)
+    train(runtime, make_queries(["alpha"], 12, seed=21), init_params(config), config,
+          settings)
+    assert calls == [12] * 6

@@ -851,6 +851,16 @@ def test_reduce_gradients_names_the_tensor_of_a_non_finite_product(row, value, n
         reduce_gradients([rows])
 
 
+def test_reduce_gradients_can_leave_the_finiteness_check_to_the_caller():
+    rows = _random_rows(64)
+    rows.dz[0, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        grads = reduce_gradients([rows], check_finite=False)
+    assert np.isnan(grads.w_out).any()
+    with pytest.raises(ValueError, match="non-finite gradient in w_out$"):
+        router.gradient_norm(grads)
+
+
 def test_library_params_are_views_into_one_flat_vector(tmp_path):
     config = _config(n=6, d=12, seed=97)
     params = init_params(config)
