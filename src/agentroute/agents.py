@@ -253,21 +253,15 @@ class MockProfile:
     """A deterministic stand-in agent.
 
     skill_map maps task tags to (target mean entropy, jitter). Each token's
-    distribution is a point-mass/uniform mixture whose blend is solved so
-    the token entropy hits the (possibly jittered) target; the map from
-    blend to entropy is monotone on [0, ln vocab_size], so any target in
-    that range is reachable by bisection. A zero-jitter target is a
-    constant, so its whole per-token entropy row (one entry per top
-    symbol) is computed once per (target, vocab_size) and memoised, and a
-    call gathers it by its drawn top symbols; jittered targets are drawn
-    and solved afresh on every call and bypass the memo. That solve is
-    cheap all the same: one pass checks a path of the first 48 bisection
-    levels at once, bit for bit as the plain loop (see solve_mixture_eps).
-    A per-vocab entropy table, built on first use, gives the first 16
-    levels; a secant inside the table's level-16 bracket and one Newton
-    step estimate the root, which fixes the next 32. One stop rule and
-    one comparison check run over all 48 levels, and the plain loop
-    resumes only where the path disagrees.
+    distribution is a point-mass/uniform mixture whose blend is solved
+    (solve_mixture_eps, target by target) so the token entropy hits the
+    (possibly jittered) target to within 1e-9 * max(ln vocab_size, 1); the
+    map from blend to entropy is monotone on [0, ln vocab_size], so any
+    target in that range is reachable. A zero-jitter target is a constant,
+    so its whole per-token entropy row (one entry per top symbol) is
+    computed once per (target, vocab_size) and memoised, and a call gathers
+    it by its drawn top symbols; jittered targets are drawn and solved
+    afresh on every call and bypass the memo.
     Targets and jitters must be finite.
 
     A call's draws come from a PCG64 generator seeded with the call's
@@ -363,35 +357,15 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return out
 
 
-# One pass resolves the first 48 bisection levels. Levels 1-16 come from a
-# per-vocab table and levels 17-48 from a path read off an estimate of the
-# root. 48 levels stay below level 52, up to which lo + k * 2**-L is the
-# very double that 0.5 * (lo + hi) gives, so the pass's points are the
-# plain loop's midpoints.
+# Newton from a level-16 table bracket only halves its distance to a root
+# near eps = 1, where H - ln vocab has a double root: 7 steps keep
+# |H - t| <= 2e-10 * max(ln vocab, 1) there, 5 reach 3.2e-9 (vocab near
+# 2**20, targets a few ulps below the snap to 1).
 _TABLE_LEVELS = 16
-_PASS_LEVELS = 48
-_MAX_ITERATIONS = 80
+_NEWTON_STEPS = 7
 _TABLE_CHUNK = 2048
 _TOP_SNAP = 1e-15  # targets this close to ln vocab snap to eps = 1
-_TOL = 1e-9  # the solve's default stop tolerance
 _TABLE_STEP = math.ldexp(1.0, -_TABLE_LEVELS)
-_PASS_STEP = math.ldexp(1.0, -_PASS_LEVELS)
-# The lo of a level-16 bracket's top level-48 cell, relative to its own lo.
-_LAST_CELL = _TABLE_STEP - _PASS_STEP
-
-# A level-48 bracket count c fixes the pass's path: the point of row r
-# (level r + 1) clears the low s = 48 - r bits of c and sets bit s - 1.
-_SHIFT = np.arange(_PASS_LEVELS, 0, -1)[:, None]
-_PATH_KEEP, _PATH_BIT = ~((1 << _SHIFT) - 1), 1 << (_SHIFT - 1)
-
-
-def _mixture_entropy(eps, vocab_size: int):
-    # Entropy of (1 - eps) * point_mass + eps * uniform(vocab_size). Every
-    # point evaluated lies in (0, 1], so both masses are positive and x log x
-    # needs no zero mask; the operation order matches _xlogx.
-    p_top = (1.0 - eps) + eps / vocab_size
-    p_rest = eps / vocab_size
-    return -(p_top * np.log(p_top) + (vocab_size - 1) * (p_rest * np.log(p_rest)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -399,151 +373,80 @@ def _entropy_table(vocab_size: int) -> np.ndarray:
     """Mixture entropy at the 2**_TABLE_LEVELS + 1 dyadic points
     j * 2**-_TABLE_LEVELS, j = 0 .. 2**_TABLE_LEVELS, built on first use in
     chunks so the build adds little peak memory beyond the table's own
-    512 KiB. Entry 0 is H(0) = 0; the two ends only bound the root
-    estimate's secant, the inner points are the bisection's own."""
+    512 KiB. Entry 0 is H(0) = 0; past it both masses are positive, so
+    x log x needs no zero mask."""
     size = 1 << _TABLE_LEVELS
     table = np.empty(size + 1)
     table[0] = 0.0
     for start in range(1, size + 1, _TABLE_CHUNK):
-        points = np.arange(start, min(start + _TABLE_CHUNK, size + 1), dtype=np.float64)
-        table[start:start + points.size] = _mixture_entropy(points * _TABLE_STEP, vocab_size)
+        eps = np.arange(start, min(start + _TABLE_CHUNK, size + 1)) * _TABLE_STEP
+        p_top = (1.0 - eps) + eps / vocab_size
+        p_rest = eps / vocab_size
+        table[start:start + eps.size] = -(
+            p_top * np.log(p_top) + (vocab_size - 1) * (p_rest * np.log(p_rest)))
     table.flags.writeable = False
     return table
 
 
-def _root_estimate(t, lo, count, table, vocab_size: int):
-    """Estimate each target's root in its level-16 bracket
-    [lo, lo + 2**-16], whose ends are table entries count and count + 1:
-    the secant through the table's entropies there, then one Newton step.
-    The result may leave the bracket or be NaN (a flat secant, or log 0 at
-    eps = 0); the caller clips it. Only the path read from the estimate
-    depends on it, and the path is checked, so it need not be exact: in
-    the first bracket (count 0), where the slope is infinite at eps = 0,
-    one step can fall short of level 48, and the plain loop resolves the
-    levels from the first wrong one."""
-    h_lo, h_hi = table[count], table[count + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _newton_step(t, lo + (t - h_lo) / (h_hi - h_lo) * _TABLE_STEP, vocab_size)
-
-
 def _newton_step(t, eps, vocab_size: int):
-    # One Newton step on H(eps) - t, with the closed-form slope
-    # H'(eps) = (1 - 1/V) * ln(p_top / p_rest).
+    # Newton on H(eps) - t with the slope H' = (1 - 1/V) * ln(p_top / p_rest).
+    # H - eps * H' is -ln p_top, so eps + (t - H) / H' is (t + ln p_top) / H'.
     scale = 1.0 - 1.0 / vocab_size
-    p_top = 1.0 - scale * eps
-    p_rest = eps / vocab_size
-    log_top, log_rest = np.log(p_top), np.log(p_rest)
-    shortfall = t + (p_top * log_top + (vocab_size - 1) * (p_rest * log_rest))
-    return eps + shortfall / (scale * (log_top - log_rest))
+    log_top = np.log(1.0 - scale * eps)
+    return (t + log_top) / (scale * (log_top - np.log(eps / vocab_size)))
 
 
-def _pass_bracket(t, top, table, vocab_size: int):
-    """The level-48 bracket count whose path the pass checks: the
-    target's level-16 bracket by searchsorted in the table, and the cell
-    of the root estimate inside it (clipped to the bracket; NaN reads as
-    its lo). A target that snaps to eps = 1 (`top`) takes the bracket's
-    top cell: H - ln V has a double root at eps = 1, so Newton would only
-    halve the distance per step, while the loop moves up at every level
-    until rounding noise."""
-    count = np.searchsorted(table[1:-1], t, side="right")
-    lo = count * _TABLE_STEP
-    cap = lo + _LAST_CELL
-    root = np.where(top, cap, _root_estimate(t, lo, count, table, vocab_size))
-    return (np.fmin(np.fmax(root, lo), cap) * math.ldexp(1.0, _PASS_LEVELS)).astype(np.int64)
+def solve_mixture_eps(targets, vocab_size: int) -> np.ndarray:
+    """The blend eps of (1 - eps) * point_mass + eps * uniform(vocab_size)
+    whose entropy H(eps) hits each target t to within
+    1e-9 * max(ln vocab_size, 1); t <= 0 snaps to eps = 0 and t within
+    1e-15 of ln vocab_size to eps = 1. Targets must be numbers in
+    [0, ln vocab_size]; anything else, NaN included, raises ValueError. No
+    targets give an empty array.
 
-
-def _first_disagreement(above, past_bracket) -> int:
-    """The first row where the path's comparisons (its point past the
-    bracket) differ from the bisection's own (entropy above the target),
-    or the number of rows if none does."""
-    wrong = above != past_bracket
-    if not wrong.any():
-        return len(wrong)
-    return int(wrong.any(axis=1).argmax())
-
-
-def solve_mixture_eps(targets, vocab_size: int, tol: float = _TOL) -> np.ndarray:
-    """Invert the mixture entropy curve by bisection; exact endpoints snap
-    to 0 and 1. Targets must be numbers in [0, ln vocab_size]; anything
-    else, NaN included, raises ValueError. No targets give an empty array.
-
-    The mixture is (1 - eps) * point_mass + eps * uniform(vocab_size). The
-    result is bit for bit that of the plain loop: bisect [0, 1], evaluate
-    the entropy h at each midpoint, stop at the first midpoint after the
-    first where max|h - t| <= tol over all targets, or after 80 halvings.
-
-    The loop's midpoints are dyadic, so a bracket count fixes a whole path
-    of them, and one pass checks the first 48 levels' path at once. A
-    per-vocab table of the entropy at the first 16 levels' points gives
-    each target's level-16 bracket count by searchsorted. Inside that
-    bracket a secant through the table's two entropies and one Newton step
-    estimate the root, whose level-48 bracket count fixes the path. Rows
-    1-16 of the (48, targets) path are gathered from the table and rows
-    17-48 come from one entropy call. The stop rule then finds the first
-    row where it holds, and one comparison check accepts the path if the
-    loop's comparisons at the rows before it agree with the path's.
-    Otherwise the plain loop resumes at the first row that disagrees, from
-    the bracket the path had there. The plain loop also resolves every
-    level past 48, where lo + k * 2**-L could stop being exactly
-    0.5 * (lo + hi).
+    H is concave and rises from 0 to ln vocab_size. A per-vocab table of H
+    at the points j * 2**-16 gives each target's bracket; the secant
+    through its ends starts at or right of the root, the first Newton step
+    lands left of it, and the rest climb to it; the clip to the bracket
+    catches rounding. Each eps depends on its own target only, so a
+    concatenation solves to the concatenated solves.
     """
     t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
     if not ((t >= 0.0) & (t <= math.log(vocab_size) + 1e-12)).all():
         raise ValueError("target entropy must be a number in [0, ln vocab_size]")
-    return _solve(t, vocab_size, tol) if t.size else np.empty(0)
+    return _solve(t, vocab_size) if t.size else np.empty(0)
 
 
-def _solve(t, vocab_size: int, tol: float):
+def _solve(t, vocab_size: int):
     # solve_mixture_eps on targets known to lie in [0, ln vocab_size].
-    top = t >= math.log(vocab_size) - _TOP_SNAP
     table = _entropy_table(vocab_size)
-    bracket = _pass_bracket(t, top, table, vocab_size)
-    path = (bracket & _PATH_KEEP) | _PATH_BIT
-    h = np.concatenate((table[path[:_TABLE_LEVELS] >> (_PASS_LEVELS - _TABLE_LEVELS)],
-                        _mixture_entropy(path[_TABLE_LEVELS:] * _PASS_STEP, vocab_size)))
-    stop = np.abs(h - t).max(axis=1) <= tol
-    stop[0] = False  # the first midpoint is never checked
-    depth = int(stop.argmax()) or _PASS_LEVELS  # argmax 0: no row stops
-    # Only the comparisons before the stop decide where the loop stops.
-    resume = _first_disagreement(h[:depth] > t, path[:depth] > bracket)
-    if resume < depth:
-        eps = _bisect(t, (bracket & _PATH_KEEP[resume]) * _PASS_STEP, resume,
-                      vocab_size, tol)
-    elif depth < _PASS_LEVELS:
-        eps = path[depth] * _PASS_STEP
-    else:
-        eps = _bisect(t, bracket * _PASS_STEP, _PASS_LEVELS, vocab_size, tol)
+    count = np.searchsorted(table[1:-1], t, side="right")
+    lo = count * _TABLE_STEP
+    hi = lo + _TABLE_STEP
+    h_lo = table[count]
+    # At eps = 0 the slope is infinite (log 0) and the step stays at 0, where
+    # a subnormal target's start can underflow; H = 0 meets its contract.
+    # A target that snaps to eps = 1 may divide 0 by 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = lo + (t - h_lo) / (table[count + 1] - h_lo) * _TABLE_STEP
+        for _ in range(_NEWTON_STEPS):
+            eps = np.fmin(np.fmax(_newton_step(t, eps, vocab_size), lo), hi)
     eps[t <= 0.0] = 0.0
-    eps[top] = 1.0
+    eps[t >= math.log(vocab_size) - _TOP_SNAP] = 1.0
     return eps
-
-
-def _bisect(t, lo, level: int, vocab_size: int, tol: float):
-    """The plain loop on the bracket [lo, lo + 2**-level], from the
-    midpoint of level level + 1 until the stop rule or the halving cap
-    ends the solve; returns that midpoint."""
-    hi = lo + math.ldexp(1.0, -level)
-    for halvings in range(level, _MAX_ITERATIONS + 1):
-        mid = 0.5 * (lo + hi)
-        h = _mixture_entropy(mid, vocab_size)
-        if halvings == _MAX_ITERATIONS or (
-                halvings > 0 and np.max(np.abs(h - t)) <= tol):
-            return mid
-        above = h > t
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
 
 
 def _token_entropies(eps, top_symbol, vocab_size: int) -> np.ndarray:
     """Entropy of each token's mixture (1 - eps) * point_mass(top_symbol) +
     eps * uniform(vocab_size), one row of the (tokens, vocab) matrix each.
-    With every eps positive (eps is at least 2**-81), every entry is, so
-    x log x needs no zero mask and each row sum is negative, never -0: the
-    bits are those of the masked form."""
+    With every eps / vocab_size positive, every entry is, so x log x needs
+    no zero mask and each row sum is negative, never -0: the bits are those
+    of the masked form. Otherwise (an eps of 0) the masked form runs."""
     count = eps.shape[0]
-    dists = np.repeat((eps / vocab_size)[:, None], vocab_size, axis=1)
+    rest = eps / vocab_size
+    dists = np.repeat(rest[:, None], vocab_size, axis=1)
     dists[np.arange(count), top_symbol] += 1.0 - eps
-    if eps.min() > 0.0:
+    if rest.min() > 0.0:
         return -np.add.reduce(dists * np.log(dists), axis=1)
     return -_xlogx(dists).sum(axis=1) + 0.0
 
@@ -585,7 +488,7 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
         # targets need no range check.
         targets = np.minimum(np.maximum(target + jitter * rng.standard_normal(count),
                                         0.0), math.log(vocab))
-        eps = _solve(targets, vocab, _TOL)
+        eps = _solve(targets, vocab)
         top_symbol, nonce = _mock_draws(rng, count, vocab)
         entropies = _token_entropies(eps, top_symbol, vocab)
     else:

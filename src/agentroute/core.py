@@ -144,8 +144,8 @@ class AgentResponse:
             mean = sum(self.token_entropies) / len(self.token_entropies)
             if self.predictive_entropy is None or abs(self.predictive_entropy - mean) > 1e-9:
                 raise ValueError("predictive_entropy must equal the mean token entropy")
-        if self.predictive_entropy is not None and self.predictive_entropy < 0.0:
-            raise ValueError("predictive_entropy must be non-negative")
+        if self.predictive_entropy is not None and not 0.0 <= self.predictive_entropy < math.inf:
+            raise ValueError("predictive_entropy must be finite and non-negative")
 
 
 @dataclass

@@ -15,6 +15,7 @@ ranking pair.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,12 @@ class TrainingSettings:
     triplet_margin: float = 0.1
 
     def __post_init__(self):
+        # A bool would compare as 0 or 1, and a string or None raise TypeError.
+        for name in ("lr", "beta1", "beta2", "epsilon", "weight_decay", "clip_norm",
+                     "triplet_margin"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         # type() is int leaves out bool, an int subclass but not a count.
         for name, ok, rule in (
                 ("lr", 0.0 < self.lr < math.inf, "finite and > 0"),

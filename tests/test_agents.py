@@ -182,32 +182,29 @@ def test_mock_interior_target_with_bisection_oracle():
     assert abs(mixture_entropy(impl_eps) - 1.0) <= 1e-9
 
 
+def _mixture_entropy(eps, vocab_size):
+    # Entropy of (1 - eps) * point_mass + eps * uniform(vocab_size) through
+    # the zero-masked x log x.
+    eps = np.asarray(eps, dtype=np.float64)
+    p_top = (1.0 - eps) + eps / vocab_size
+    p_rest = eps / vocab_size
+    return -(agents._xlogx(p_top) + (vocab_size - 1) * agents._xlogx(p_rest))
+
+
 def _reference_solve_mixture_eps(targets, vocab_size, tol=1e-9):
-    # The original bisection, which evaluates the entropy twice per
-    # iteration through the zero-masked x log x; the solver must match it
-    # bit for bit.
-    def xlogx(p):
-        out = np.zeros_like(p)
-        nz = p > 0.0
-        out[nz] = p[nz] * np.log(p[nz])
-        return out
-
-    def mixture_entropy(eps):
-        eps = np.asarray(eps, dtype=np.float64)
-        p_top = (1.0 - eps) + eps / vocab_size
-        p_rest = eps / vocab_size
-        return -(xlogx(p_top) + (vocab_size - 1) * xlogx(p_rest))
-
+    # The plain bisection: halve [0, 1] until max|H - t| <= tol over all
+    # targets, or 80 halvings. An accuracy oracle within its own tolerance,
+    # not a bit oracle: its stop rule is joint over the targets.
     t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
     limit = math.log(vocab_size)
     lo = np.zeros_like(t)
     hi = np.ones_like(t)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        above = mixture_entropy(mid) > t
+        above = _mixture_entropy(mid, vocab_size) > t
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-        if np.max(np.abs(mixture_entropy(0.5 * (lo + hi)) - t)) <= tol:
+        if np.max(np.abs(_mixture_entropy(0.5 * (lo + hi), vocab_size) - t)) <= tol:
             break
     eps = 0.5 * (lo + hi)
     eps[t <= 0.0] = 0.0
@@ -215,8 +212,36 @@ def _reference_solve_mixture_eps(targets, vocab_size, tol=1e-9):
     return eps
 
 
+def _contract(vocab):
+    # The solve's promise: |H(eps) - t| within this for every target.
+    return 1e-9 * max(math.log(vocab), 1.0)
+
+
+def _assert_meets_contract(targets, vocab):
+    t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
+    eps = solve_mixture_eps(t, vocab)
+    assert eps.shape == t.shape and np.isfinite(eps).all()
+    assert ((eps >= 0.0) & (eps <= 1.0)).all()
+    error = np.abs(_mixture_entropy(eps, vocab) - t)
+    assert error.max() <= _contract(vocab), (vocab, t[error.argmax()].item(), error.max())
+    return eps
+
+
+def _assert_agrees_with_reference(targets, vocab, tol=1e-9):
+    # Both solves meet their targets, so their entropies agree within the
+    # two tolerances, and both snap the same targets to 0 and 1.
+    eps = _assert_meets_contract(targets, vocab)
+    want = _reference_solve_mixture_eps(targets, vocab, tol)
+    gap = np.abs(_mixture_entropy(eps, vocab) - _mixture_entropy(want, vocab))
+    assert gap.max() <= _contract(vocab) + tol, (vocab, tol, np.asarray(targets).tolist())
+    snapped = (want == 0.0) | (want == 1.0)
+    assert eps[snapped].tobytes() == want[snapped].tobytes()
+    return eps
+
+
 @pytest.mark.parametrize("vocab", [2, 3, 16, 50, 1000])
 def test_solve_mixture_eps_matches_reference_bisection_bitwise(vocab):
+    # Bitwise at the snapped endpoints, within the tolerances elsewhere.
     rng = np.random.default_rng(vocab)
     limit = math.log(vocab)
     for count in (1, 5, 12):
@@ -225,8 +250,7 @@ def test_solve_mixture_eps_matches_reference_bisection_bitwise(vocab):
             if trial == 0:
                 targets[0] = 0.0
                 targets[-1] = limit
-            got = solve_mixture_eps(targets, vocab)
-            assert got.tobytes() == _reference_solve_mixture_eps(targets, vocab).tobytes()
+            _assert_agrees_with_reference(targets, vocab)
     for endpoint in (0.0, limit):
         got = solve_mixture_eps(endpoint, vocab)
         assert got.tobytes() == _reference_solve_mixture_eps(endpoint, vocab).tobytes()
@@ -235,33 +259,11 @@ def test_solve_mixture_eps_matches_reference_bisection_bitwise(vocab):
 VOCABS = [2, 3, 16, 50, 1000]
 
 
-def _assert_matches_reference(targets, vocab, tol=1e-9):
-    got = solve_mixture_eps(targets, vocab, tol)
-    want = _reference_solve_mixture_eps(targets, vocab, tol)
-    assert got.tobytes() == want.tobytes(), (vocab, tol, np.asarray(targets).tolist())
-    return got
-
-
-def _record_path_checks(monkeypatch):
-    # One entry per comparison check: True where the path agreed with the
-    # bisection's comparisons at every row it was checked on.
-    checks = []
-    check = agents._first_disagreement
-
-    def recorded(above, past_bracket):
-        row = check(above, past_bracket)
-        checks.append(row == len(above))
-        return row
-
-    monkeypatch.setattr(agents, "_first_disagreement", recorded)
-    return checks
-
-
 def _solve_cases():
     def case(vocab):
         limit = math.log(vocab)
         return st.tuples(st.lists(st.floats(0.0, limit + 1e-12), min_size=1, max_size=40),
-                         st.just(vocab), st.sampled_from([1e-9, 1e-12, 0.0]))
+                         st.just(vocab))
     return st.sampled_from(VOCABS).flatmap(case)
 
 
@@ -270,8 +272,51 @@ def _solve_cases():
 def test_solve_mixture_eps_matches_reference_on_any_targets(case):
     # Any targets in [0, ln vocab], the shape's edge cases included: 0,
     # subnormals, ln vocab itself and values within 1e-12 above it.
-    targets, vocab, tol = case
-    _assert_matches_reference(np.array(targets), vocab, tol)
+    targets, vocab = case
+    _assert_agrees_with_reference(np.array(targets), vocab)
+
+
+def _contract_cases():
+    def case(vocab):
+        limit = math.log(vocab)
+        target = (st.floats(0.0, limit + 1e-12)
+                  | st.floats(0.0, 1e-14).map(lambda gap: limit - gap)
+                  | st.sampled_from([0.0, 5e-324, 1e-300, limit, limit + 1e-12]))
+        return st.tuples(st.lists(target, min_size=1, max_size=20), st.just(vocab))
+    return (st.integers(2, 2**32) | st.sampled_from([2, 3, 2**16, 2**20, 2**32])).flatmap(case)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_contract_cases())
+# Two ulps below the snap to 1: H - ln vocab has a double root at eps = 1,
+# where a Newton step only halves the distance, and five steps miss here.
+@example(case=([math.log(1707593) - 3.552713678800501e-15], 1707593))
+@example(case=([math.log(3787234) - 3.552713678800501e-15], 3787234))
+def test_solve_mixture_eps_meets_the_contract_for_any_vocab(case):
+    # |H(eps) - t| <= 1e-9 * max(ln vocab, 1), with eps finite in [0, 1],
+    # for vocab sizes up to 2**32 and targets at 0, subnormal, tiny, within
+    # 1e-14 of ln vocab, and up to 1e-12 above it.
+    targets, vocab = case
+    _assert_meets_contract(targets, vocab)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(vocab=st.sampled_from(VOCABS + [2**20, 2**32]), data=st.data())
+def test_solve_mixture_eps_is_batch_invariant(vocab, data):
+    # Each eps depends only on its own target: solving a concatenation
+    # gives the concatenated solves bit for bit, repeated targets and
+    # single targets included.
+    limit = math.log(vocab)
+    base = data.draw(st.lists(st.floats(0.0, limit + 1e-12), min_size=1, max_size=30))
+    repeats = data.draw(st.lists(st.sampled_from(base), max_size=30))
+    targets = np.array(data.draw(st.permutations(base + repeats)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(targets) - 1), max_size=6))
+                  if len(targets) > 1 else [])
+    whole = solve_mixture_eps(targets, vocab)
+    parts = [solve_mixture_eps(part, vocab) for part in np.split(targets, cuts)]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
+    singles = [solve_mixture_eps(target, vocab) for target in targets]
+    assert whole.tobytes() == np.concatenate(singles).tobytes()
 
 
 @pytest.mark.parametrize("targets", [[math.nan], [0.5, math.nan], [math.inf],
@@ -288,36 +333,51 @@ def test_solve_mixture_eps_of_no_targets_is_empty(targets):
 
 
 @pytest.mark.parametrize("vocab", VOCABS)
-def test_solve_mixture_eps_matches_reference_on_jittered_targets(vocab, monkeypatch):
+def test_solve_mixture_eps_matches_reference_on_jittered_targets(vocab):
     # The shape of mock_execute's input: up to 12 targets jittered around a
-    # centre and clipped to [0, ln vocab]. Each solve runs one comparison
-    # check, and no path goes to the plain loop, not even with a target
-    # clipped to ln vocab, where the entropy is flat to rounding: the path
-    # predicted for it runs up at every level. The exception is a positive
-    # target in the table's first level-16 bracket, where the slope is
-    # infinite at eps = 0 and one Newton step may fall short of level 48.
-    checks = _record_path_checks(monkeypatch)
+    # centre and clipped to [0, ln vocab].
     rng = np.random.default_rng(1000 + vocab)
     limit = math.log(vocab)
-    first_bracket_top = agents._entropy_table(vocab)[1]
     for _ in range(1000):
         centre = rng.uniform(0.0, limit)
         jitter = rng.choice([0.01, 0.05, 0.3])
         count = int(rng.integers(1, 13))
         targets = np.clip(centre + jitter * rng.standard_normal(count), 0.0, limit)
-        checks.clear()
-        _assert_matches_reference(targets, vocab)
-        assert len(checks) == 1
-        if not ((targets > 0.0) & (targets < first_bracket_top)).any():
-            assert checks == [True]
+        _assert_agrees_with_reference(targets, vocab)
 
 
 @pytest.mark.parametrize("vocab", VOCABS)
-def test_solve_mixture_eps_stops_on_table_entries(vocab, monkeypatch):
-    # A target equal to the entropy at a tabulated point meets the stop rule
-    # there, so the solve ends inside the table's levels at that point,
-    # without falling back to the plain loop.
-    checks = _record_path_checks(monkeypatch)
+def test_solve_mixture_eps_matches_reference_at_the_endpoints(vocab):
+    limit = math.log(vocab)
+    near_top = [limit, limit - 1e-15, limit - 5e-16, np.nextafter(limit, 0.0),
+                limit - 2e-15, limit + 1e-13]
+    for target in [0.0, 5e-324, 1e-15] + near_top:
+        _assert_agrees_with_reference(np.array([target]), vocab)
+    rng = np.random.default_rng(3000 + vocab)
+    for _ in range(20):
+        targets = rng.uniform(0.0, limit, size=6)
+        targets[rng.integers(0, 6, size=2)] = rng.choice(near_top + [0.0], size=2)
+        _assert_agrees_with_reference(targets, vocab)
+
+
+@pytest.mark.parametrize("vocab", VOCABS)
+@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-12])
+def test_solve_mixture_eps_matches_reference_at_deep_levels(vocab, tol):
+    # The reference run to tol = 0 mostly takes all 80 halvings, and to
+    # tol = 1e-15 or 1e-12 it stops past level 48: there it pins the root
+    # far below the contract, so the two entropies agree within it.
+    rng = np.random.default_rng(4000 + vocab)
+    limit = math.log(vocab)
+    for count in (1, 3, 12):
+        for _ in range(10):
+            _assert_agrees_with_reference(rng.uniform(0.0, limit, size=count), vocab, tol)
+
+
+@pytest.mark.parametrize("vocab", VOCABS)
+def test_solve_mixture_eps_stops_on_table_entries(vocab):
+    # A target equal to the tabulated entropy at j * 2**-16 has its root
+    # at that point, the low end of its bracket, where the secant starts:
+    # the Newton steps stay there up to rounding.
     levels = agents._TABLE_LEVELS
     table = agents._entropy_table(vocab)
     rng = np.random.default_rng(2000 + vocab)
@@ -328,164 +388,58 @@ def test_solve_mixture_eps_stops_on_table_entries(vocab, monkeypatch):
         targets = table[index]
         if np.any(targets >= math.log(vocab) - 1e-15):
             continue  # those would snap to 1
-        eps = _assert_matches_reference(targets, vocab)
-        single = _assert_matches_reference(targets[:1], vocab)
-        if level == 1:
-            assert eps[0] != 0.5  # the first midpoint is never checked
-            continue
-        assert eps.tolist() == (index * 2.0 ** -levels).tolist()
-        assert single[0] == index[0] * 2.0 ** -levels
+        points = index * 2.0 ** -levels
+        eps = _assert_meets_contract(targets, vocab)
+        assert (eps >= points).all()
+        assert (np.abs(eps - points) <= 64 * np.spacing(points)).all(), (level, eps - points)
+        assert solve_mixture_eps(targets[:1], vocab)[0] == eps[0]
         tested += 1
     assert tested >= levels - 3
-    assert checks and all(checks)
-
-
-@pytest.mark.parametrize("vocab", VOCABS)
-def test_solve_mixture_eps_matches_reference_at_the_endpoints(vocab):
-    limit = math.log(vocab)
-    near_top = [limit, limit - 1e-15, limit - 5e-16, np.nextafter(limit, 0.0),
-                limit - 2e-15, limit + 1e-13]
-    for target in [0.0, 5e-324, 1e-15] + near_top:
-        _assert_matches_reference(np.array([target]), vocab)
-    rng = np.random.default_rng(3000 + vocab)
-    for _ in range(20):
-        targets = rng.uniform(0.0, limit, size=6)
-        targets[rng.integers(0, 6, size=2)] = rng.choice(near_top + [0.0], size=2)
-        _assert_matches_reference(targets, vocab)
-
-
-@pytest.mark.parametrize("vocab", VOCABS)
-@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-12])
-def test_solve_mixture_eps_matches_reference_at_deep_levels(vocab, tol):
-    # tol = 0 mostly runs to the 80-halving cap and tol = 1e-15 passes level
-    # 48 into the plain loop; tol = 1e-12 ends in the predicted path's
-    # deepest levels.
-    rng = np.random.default_rng(4000 + vocab)
-    limit = math.log(vocab)
-    for count in (1, 3, 12):
-        for _ in range(10):
-            _assert_matches_reference(rng.uniform(0.0, limit, size=count), vocab, tol)
-
-
-@pytest.mark.parametrize("failing", ["every block", "table", "path", "alternate"])
-def test_solve_mixture_eps_fallback_loop_matches_reference(monkeypatch, failing):
-    # Declare the path wrong from some row on, so the plain loop resolves
-    # the levels from there: row 0 ("every block": the whole solve), a
-    # table row, a predicted-path row, or row 0 on every other solve
-    # ("alternate": a solve after a fallback starts clean). A forced row
-    # never lies past the real first disagreement, so it is always safe.
-    forced = {"every block": lambda solve: 0,
-              "table": lambda solve: 9,
-              "path": lambda solve: 20,
-              "alternate": lambda solve: 0 if solve % 2 else None}[failing]
-    checks = []
-    check = agents._first_disagreement
-
-    def disagreeing_early(above, past_bracket):
-        row, real = forced(solves), check(above, past_bracket)
-        checks.append(real)
-        return real if row is None else min(row, real)
-
-    monkeypatch.setattr(agents, "_first_disagreement", disagreeing_early)
-    rng = np.random.default_rng(5000)
-    solves = 0
-    for vocab in VOCABS:
-        limit = math.log(vocab)
-        for tol in (1e-9, 0.0):
-            for count in (1, 12):
-                checks.clear()
-                targets = rng.uniform(0.0, limit, size=count)
-                if count > 1:
-                    targets[0] = limit
-                _assert_matches_reference(targets, vocab, tol)
-                assert len(checks) == 1  # one comparison check per solve
-                solves += 1
 
 
 @pytest.mark.parametrize("estimate", ["lo", "hi", "nan"])
 def test_solve_mixture_eps_survives_a_useless_root_estimate(monkeypatch, estimate):
-    # The root estimate only picks the path to check: the bracket's ends,
-    # or NaN, give wrong paths, and the plain loop must repair them.
-    def root_at(t, lo, count, table, vocab_size):
-        return {"lo": lo, "hi": lo + 2.0 ** -agents._TABLE_LEVELS,
-                "nan": np.full_like(lo, np.nan)}[estimate]
+    # Replace the first Newton step's result with the ends of the target's
+    # bracket, or with NaN, which the clip to the bracket turns into its
+    # low end: the remaining steps still meet the contract.
+    newton_step = agents._newton_step
+    calls = []
 
-    monkeypatch.setattr(agents, "_root_estimate", root_at)
+    def useless_first(t, eps, vocab_size):
+        calls.append(1)
+        if len(calls) > 1:
+            return newton_step(t, eps, vocab_size)
+        lo = np.floor(eps / agents._TABLE_STEP) * agents._TABLE_STEP
+        return {"lo": lo, "hi": lo + agents._TABLE_STEP,
+                "nan": np.full_like(eps, np.nan)}[estimate]
+
+    monkeypatch.setattr(agents, "_newton_step", useless_first)
     rng = np.random.default_rng(6000)
     for vocab in VOCABS:
         limit = math.log(vocab)
-        for tol in (1e-9, 0.0, 1e-12):
-            for count in (1, 12):
-                _assert_matches_reference(rng.uniform(0.0, limit, size=count), vocab, tol)
-
-
-@pytest.mark.parametrize("row", range(48))
-def test_solve_mixture_eps_resumes_where_the_path_disagrees(monkeypatch, row):
-    # Flip bit 47 - row of the level-48 bracket count the pass checks: the
-    # path keeps its points through row `row` (level row + 1) but makes the
-    # wrong comparison there, so the plain loop must resume at exactly
-    # level `row`, from the bracket the path had there. The targets are
-    # ones whose own path agrees with the loop up to the row where the
-    # stop rule holds, and at tol 1e-15 that row lies past the flipped one
-    # (tol 0 mostly checks all 48): at the deepest rows rounding noise in
-    # the entropy, not the root, can decide the loop's comparisons, and a
-    # real disagreement before the flipped row would resume there instead.
-    check = agents._first_disagreement
-    checked = []
-
-    def recorded(above, past_bracket):
-        checked.append((check(above, past_bracket), len(above)))
-        return checked[-1][0]
-
-    monkeypatch.setattr(agents, "_first_disagreement", recorded)
-    rng = np.random.default_rng(7100 + row)
-    cases = []
-    for vocab in VOCABS:
-        for tol in (1e-15, 0.0):
-            for count in (1, 12):
-                for _ in range(1000):
-                    targets = rng.uniform(0.0, math.log(vocab), size=count)
-                    checked.clear()
-                    solve_mixture_eps(targets, vocab, tol)
-                    [(first, depth)] = checked
-                    if first == depth > row:
-                        break
-                else:
-                    pytest.fail(f"no {count} targets at vocab {vocab}, tol {tol} whose"
-                                f" path agrees past row {row} in 1000 draws")
-                cases.append((targets, vocab, tol))
-
-    pass_bracket, bisect = agents._pass_bracket, agents._bisect
-    resumed = []
-
-    def flipped(*args):
-        return pass_bracket(*args) ^ (1 << (agents._PASS_LEVELS - 1 - row))
-
-    def recorded_bisect(t, lo, level, vocab_size, tol):
-        resumed.append(level)
-        return bisect(t, lo, level, vocab_size, tol)
-
-    monkeypatch.setattr(agents, "_pass_bracket", flipped)
-    monkeypatch.setattr(agents, "_bisect", recorded_bisect)
-    for targets, vocab, tol in cases:
-        resumed.clear()
-        _assert_matches_reference(targets, vocab, tol)
-        assert resumed == [row]
+        for count in (1, 12):
+            for trial in range(20):
+                targets = rng.uniform(0.0, limit, size=count)
+                if trial % 2:
+                    targets[0] = limit - rng.uniform(1e-15, 1e-9)
+                calls.clear()
+                _assert_meets_contract(targets, vocab)
+                assert len(calls) == agents._NEWTON_STEPS
 
 
 @pytest.mark.parametrize("vocab", VOCABS)
 def test_solve_mixture_eps_duplicate_targets_match_unique_solve(vocab):
-    # The stop rule is a max over targets and each path depends only on its
-    # own target, so repeats change no bits: mock_execute solves its
-    # jittered targets without deduplicating them.
+    # mock_execute solves its jittered targets without deduplicating them;
+    # repeats change no bits.
     rng = np.random.default_rng(8000 + vocab)
     limit = math.log(vocab)
     for _ in range(50):
         repeats = rng.uniform(0.0, limit, size=4)[rng.integers(0, 4, size=8)]
         targets = rng.permutation(np.concatenate([repeats, [0.0, 0.0, limit, limit]]))
         unique, inverse = np.unique(targets, return_inverse=True)
-        want = _reference_solve_mixture_eps(unique, vocab)[inverse]
+        want = solve_mixture_eps(unique, vocab)[inverse]
         assert solve_mixture_eps(targets, vocab).tobytes() == want.tobytes()
+        _assert_agrees_with_reference(targets, vocab)
 
 
 def test_import_builds_no_table_and_loads_no_http_client():
@@ -499,7 +453,18 @@ def test_import_builds_no_table_and_loads_no_http_client():
     assert result.stdout.split() == ["0", "False"], result.stderr
 
 
+@pytest.mark.parametrize("target", [5e-324, 7.4e-321, 1e-300, 1e-12])
+def test_mock_tiny_targets_meet_the_contract(target):
+    # eps may underflow to 0 or be far below the bisection's old 2**-81.
+    for jitter in (0.0, 1e-300):
+        resp = mock_execute(_profile(target, jitter=jitter), Prompt("x"), "default", seed=4)
+        assert all(abs(e - target) <= _contract(16) for e in resp.token_entropies)
+
+
 def test_mock_jittered_responses_match_reference_solver(monkeypatch):
+    # mock_execute calls _solve on its jittered targets; with the plain
+    # bisection in its place, only the entropies move, within both solves'
+    # tolerances.
     profiles = [_profile(target, jitter=jitter, vocab=vocab, agent_id=i)
                 for i, (target, jitter, vocab) in enumerate([
                     (0.8, 0.05, 16), (2.5, 0.3, 16), (0.05, 0.1, 16),
@@ -507,10 +472,20 @@ def test_mock_jittered_responses_match_reference_solver(monkeypatch):
     seeds = range(300)
     fast = [mock_execute(p, Prompt("x"), "default", seed=s, step_index=2)
             for p in profiles for s in seeds]
-    monkeypatch.setattr(agents, "solve_mixture_eps", _reference_solve_mixture_eps)
+    solved = []
+
+    def reference(targets, vocab_size):
+        solved.append(len(targets))
+        return _reference_solve_mixture_eps(targets, vocab_size)
+
+    monkeypatch.setattr(agents, "_solve", reference)
     slow = [mock_execute(p, Prompt("x"), "default", seed=s, step_index=2)
             for p in profiles for s in seeds]
-    assert fast == slow
+    assert solved == [12] * len(slow)  # every call solved through the reference
+    for profile, a, b in zip([p for p in profiles for _ in seeds], fast, slow):
+        assert (a.text, a.token_count, a.agent_id) == (b.text, b.token_count, b.agent_id)
+        gap = np.abs(np.subtract(a.token_entropies, b.token_entropies))
+        assert gap.max() <= _contract(profile.vocab_size) + 1e-9
 
 
 def _reference_mock_entropies(profile, seed):
@@ -539,7 +514,7 @@ def _reference_mock_entropies(profile, seed):
 
 def _reference_row(target, vocab):
     # Row s of one (vocab, vocab) matrix holds a token whose top symbol is s.
-    eps = _reference_solve_mixture_eps(target, vocab)[0]
+    eps = solve_mixture_eps(target, vocab)[0]
     dists = np.full((vocab, vocab), eps / vocab)
     dists[np.arange(vocab), np.arange(vocab)] += 1.0 - eps
     return -agents._xlogx(dists).sum(axis=1) + 0.0

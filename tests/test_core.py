@@ -109,6 +109,14 @@ def test_agent_response_checks_entropy_mean():
                       predictive_entropy=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tokens", [(), (0.5,)], ids=["no-tokens", "one-token"])
+def test_agent_response_rejects_a_non_finite_predictive_entropy(tokens, value):
+    with pytest.raises(ValueError, match="predictive_entropy must"):
+        AgentResponse(agent_id=0, step_index=1, text="x", token_entropies=tokens,
+                      token_count=1, predictive_entropy=value)
+
+
 def test_append_step_enforces_k_bound_and_counts():
     config = RouterConfig(pool_size=4, max_route=2)
     traj = new_trajectory("q")

@@ -295,14 +295,17 @@ def test_global_norm_sums_one_dot_per_tensor_in_field_order():
 
 # --- training settings ---
 
+# A bool or a non-number in a float field raises ConfigError too, not
+# TypeError, and True is not read as 1.0.
+NOT_NUMBERS = [True, False, "x", "0.5", None]
 BAD_SETTINGS = {
-    "lr": [0.0, -1e-3, math.inf, math.nan],
-    "beta1": [-0.1, 1.0, math.inf, math.nan],
-    "beta2": [-0.1, 1.0, 2.0, math.nan],
-    "epsilon": [0.0, -1e-8, math.inf, math.nan],
-    "weight_decay": [-0.01, math.inf, math.nan],
-    "triplet_margin": [-0.1, math.inf, math.nan],
-    "clip_norm": [0.0, -1.0, math.inf, math.nan],
+    "lr": [0.0, -1e-3, math.inf, math.nan] + NOT_NUMBERS,
+    "beta1": [-0.1, 1.0, math.inf, math.nan] + NOT_NUMBERS,
+    "beta2": [-0.1, 1.0, 2.0, math.nan] + NOT_NUMBERS,
+    "epsilon": [0.0, -1e-8, math.inf, math.nan] + NOT_NUMBERS,
+    "weight_decay": [-0.01, math.inf, math.nan] + NOT_NUMBERS,
+    "triplet_margin": [-0.1, math.inf, math.nan] + NOT_NUMBERS,
+    "clip_norm": [0.0, -1.0, math.inf, math.nan] + NOT_NUMBERS,
     "batch_size": [0, -1, 2.5, 8.0, True, "8", None],
     "epochs": [0, -1, 1.5, 3.0, True, False, "3"],
     "loss_kind": ["hinge", ""],
