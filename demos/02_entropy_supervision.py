@@ -22,9 +22,10 @@ print(f"uniform tokens:    PE = {predictive_entropy(uniform):.4f} (ln 4 = {math.
 # ------------------------------------------------------------------
 # 2. Mock agents dial in any target entropy
 # ------------------------------------------------------------------
-# Each token distribution blends a point mass with a uniform tail; the
-# blend is solved by a few Newton steps so the measured entropy hits the
-# target to within 1e-9 * max(ln vocab, 1).
+# Each token distribution blends a point mass with a uniform tail, whose
+# entropy has a closed form; a few Newton steps on it solve the blend so
+# the measured entropy hits the target to within 1e-9 * max(ln vocab, 1).
+# With no jitter, every token reports that same entropy.
 for target in (0.0, 0.5, 1.5, math.log(16)):
     profile = MockProfile(agent_id=0, skill_map={"default": (target, 0.0)})
     response = mock_execute(profile, Prompt("probe"), "default", seed=3)

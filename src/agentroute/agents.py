@@ -254,21 +254,22 @@ class MockProfile:
 
     skill_map maps task tags to (target mean entropy, jitter). Each token's
     distribution is a point-mass/uniform mixture whose blend is solved
-    (solve_mixture_eps, target by target) so the token entropy hits the
-    (possibly jittered) target to within 1e-9 * max(ln vocab_size, 1); the
-    map from blend to entropy is monotone on [0, ln vocab_size], so any
+    (solve_mixture_eps, target by target) so the token entropy, one closed
+    form (_mixture_entropy) whichever symbol carries the point mass, hits
+    the (possibly jittered) target to within 1e-9 * max(ln vocab_size, 1);
+    the map from blend to entropy is monotone on [0, ln vocab_size], so any
     target in that range is reachable. A zero-jitter target is a constant,
-    so its whole per-token entropy row (one entry per top symbol) is
-    computed once per (target, vocab_size) and memoised, and a call gathers
-    it by its drawn top symbols; jittered targets are drawn and solved
-    afresh on every call and bypass the memo.
+    so its token entropy is computed once per (target, vocab_size),
+    memoised, and reported for every token; jittered targets are drawn and
+    solved afresh on every call and bypass the memo.
     Targets and jitters must be finite.
 
     A call's draws come from a PCG64 generator seeded with the call's
     seed: the jittered targets first (standard_normal, one per token),
-    then the top symbols and the response nonce (see _mock_draws). Those
-    two are read straight from the generator's raw 64-bit words by the
-    rule numpy's Generator.integers(0, vocab_size, size=count) and then
+    then tokens_per_response top-symbol values, which shape nothing, and
+    the response nonce (see _mock_draws). Those are read straight from the
+    generator's raw 64-bit words by the rule numpy's
+    Generator.integers(0, vocab_size, size=count) and then
     Generator.bytes(4) follow, so trace bits follow the PCG64 stream,
     which numpy keeps stable across releases, and not
     Generator.integers' own code. The rule covers vocab_size up to 2**32.
@@ -304,34 +305,35 @@ class MockProfile:
         return entry
 
 
-def _mock_draws(rng, count: int, vocab: int):
-    """The top symbols and nonce of a mock call: the count values that
-    rng.integers(0, vocab, size=count) returns, then rng.bytes(4).hex(),
-    read from rng.bit_generator.random_raw words by the rule numpy follows
-    for vocab <= 2**32. Each value takes the next 32-bit half x, a fresh
-    word's low half first; m = x * vocab is drawn again while
-    m mod 2**32 < (2**32 - vocab) mod vocab (Lemire's rejection), and the
-    value is m >> 32. The nonce is the next half, the carried high half
-    when an odd number of halves was used, as 4 little-endian bytes.
+def _mock_draws(rng, count: int, vocab: int) -> str:
+    """The nonce of a mock call: rng.bytes(4).hex() as drawn right after
+    rng.integers(0, vocab, size=count), read from
+    rng.bit_generator.random_raw words by the rule numpy follows for
+    vocab <= 2**32. Each of the count values takes the next 32-bit half x,
+    a fresh word's low half first, and takes another while
+    (x * vocab) mod 2**32 < (2**32 - vocab) mod vocab (Lemire's
+    rejection); the values themselves shape nothing. The nonce is the next
+    half, the carried high half when an odd number of halves was used, as
+    4 little-endian bytes.
 
     The generator must have no carried half of its own (a fresh one, or
     one that has only drawn doubles since), and it is left advanced past
     whole words, possibly more than integers and bytes would take, so
-    callers drop it afterwards. Returns (uint64 symbols, nonce hex)."""
+    callers drop it afterwards."""
     threshold = (_MAX_VOCAB - vocab) % vocab
     words = rng.bit_generator.random_raw(count // 2 + 1)
     halves = words.astype("<u8", copy=False).view("<u4")
     # Below 2**64 for vocab <= 2**32.
     scaled = np.multiply(halves[:count], vocab, dtype=np.uint64)
     if threshold and ((scaled & _HALF) < threshold).any():
-        return _draws_with_rejections(rng, count, vocab, threshold, halves.tolist())
-    return scaled >> 32, _nonce(int(halves[count]))
+        return _nonce_after_rejections(rng, count, vocab, threshold, halves.tolist())
+    return _nonce(int(halves[count]))
 
 
-def _draws_with_rejections(rng, count, vocab, threshold, halves):
+def _nonce_after_rejections(rng, count, vocab, threshold, halves):
     # The rule of _mock_draws, one half at a time, drawing more words as
     # rejections use up the ones drawn.
-    symbols = []
+    accepted = 0
     position = 0
     while True:
         if position == len(halves):
@@ -339,22 +341,13 @@ def _draws_with_rejections(rng, count, vocab, threshold, halves):
             halves += [word & _HALF, word >> 32]
         x = halves[position]
         position += 1
-        if len(symbols) == count:
-            return np.array(symbols, dtype=np.uint64), _nonce(x)
-        m = x * vocab
-        if m & _HALF >= threshold:
-            symbols.append(m >> 32)
+        if accepted == count:
+            return _nonce(x)
+        accepted += (x * vocab) & _HALF >= threshold
 
 
 def _nonce(half: int) -> str:
     return half.to_bytes(4, "little").hex()
-
-
-def _xlogx(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    nz = p > 0.0
-    out[nz] = p[nz] * np.log(p[nz])
-    return out
 
 
 # Newton from a level-16 table bracket only halves its distance to a root
@@ -368,22 +361,29 @@ _TOP_SNAP = 1e-15  # targets this close to ln vocab snap to eps = 1
 _TABLE_STEP = math.ldexp(1.0, -_TABLE_LEVELS)
 
 
+def _mixture_entropy(eps, vocab_size: int):
+    """Entropy of the mixture (1 - eps) * point_mass + eps * uniform(vocab_size),
+    -(p_top ln p_top + (vocab_size - 1) p_rest ln p_rest), whichever symbol
+    carries the point mass. Where eps / vocab_size is 0 the mixture is the
+    point mass (0 ln 0 = 0) and the entropy is +0.0."""
+    p_rest = eps / vocab_size
+    p_top = (1.0 - eps) + p_rest
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(p_top * np.log(p_top) + (vocab_size - 1) * (p_rest * np.log(p_rest)))
+    return np.where(p_rest > 0.0, h, 0.0)
+
+
 @functools.lru_cache(maxsize=8)
 def _entropy_table(vocab_size: int) -> np.ndarray:
-    """Mixture entropy at the 2**_TABLE_LEVELS + 1 dyadic points
+    """_mixture_entropy at the 2**_TABLE_LEVELS + 1 dyadic points
     j * 2**-_TABLE_LEVELS, j = 0 .. 2**_TABLE_LEVELS, built on first use in
     chunks so the build adds little peak memory beyond the table's own
-    512 KiB. Entry 0 is H(0) = 0; past it both masses are positive, so
-    x log x needs no zero mask."""
+    512 KiB."""
     size = 1 << _TABLE_LEVELS
     table = np.empty(size + 1)
-    table[0] = 0.0
-    for start in range(1, size + 1, _TABLE_CHUNK):
+    for start in range(0, size + 1, _TABLE_CHUNK):
         eps = np.arange(start, min(start + _TABLE_CHUNK, size + 1)) * _TABLE_STEP
-        p_top = (1.0 - eps) + eps / vocab_size
-        p_rest = eps / vocab_size
-        table[start:start + eps.size] = -(
-            p_top * np.log(p_top) + (vocab_size - 1) * (p_rest * np.log(p_rest)))
+        table[start:start + eps.size] = _mixture_entropy(eps, vocab_size)
     table.flags.writeable = False
     return table
 
@@ -404,12 +404,12 @@ def solve_mixture_eps(targets, vocab_size: int) -> np.ndarray:
     [0, ln vocab_size]; anything else, NaN included, raises ValueError. No
     targets give an empty array.
 
-    H is concave and rises from 0 to ln vocab_size. A per-vocab table of H
-    at the points j * 2**-16 gives each target's bracket; the secant
-    through its ends starts at or right of the root, the first Newton step
-    lands left of it, and the rest climb to it; the clip to the bracket
-    catches rounding. Each eps depends on its own target only, so a
-    concatenation solves to the concatenated solves.
+    H is _mixture_entropy, concave and rising from 0 to ln vocab_size. A
+    per-vocab table of H at the points j * 2**-16 gives each target's
+    bracket; the secant through its ends starts at or right of the root,
+    the first Newton step lands left of it, and the rest climb to it; the
+    clip to the bracket catches rounding. Each eps depends on its own
+    target only, so a concatenation solves to the concatenated solves.
     """
     t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
     if not ((t >= 0.0) & (t <= math.log(vocab_size) + 1e-12)).all():
@@ -436,41 +436,12 @@ def _solve(t, vocab_size: int):
     return eps
 
 
-def _token_entropies(eps, top_symbol, vocab_size: int) -> np.ndarray:
-    """Entropy of each token's mixture (1 - eps) * point_mass(top_symbol) +
-    eps * uniform(vocab_size), one row of the (tokens, vocab) matrix each.
-    With every eps / vocab_size positive, every entry is, so x log x needs
-    no zero mask and each row sum is negative, never -0: the bits are those
-    of the masked form. Otherwise (an eps of 0) the masked form runs."""
-    count = eps.shape[0]
-    rest = eps / vocab_size
-    dists = np.repeat(rest[:, None], vocab_size, axis=1)
-    dists[np.arange(count), top_symbol] += 1.0 - eps
-    if rest.min() > 0.0:
-        return -np.add.reduce(dists * np.log(dists), axis=1)
-    return -_xlogx(dists).sum(axis=1) + 0.0
-
-
-_ROW_CHUNK = 1 << 16  # matrix entries per _token_entropies call in a row build
-
-
 @functools.lru_cache(maxsize=1024)
-def _constant_target_row(target: float, vocab_size: int) -> np.ndarray:
-    """Per-token entropies of a zero-jitter target: entry s is the entropy
-    of a token whose top symbol is s. Zero-jitter targets are profile
-    constants, so their solve and entropies repeat on every call;
-    jittered targets are fresh per call and never come here. Built in
-    chunks of rows so a large vocabulary never needs a (vocab, vocab)
-    matrix; read-only, as every caller shares it."""
-    eps = solve_mixture_eps(target, vocab_size)[0]
-    rows = max(1, _ROW_CHUNK // vocab_size)
-    row = np.empty(vocab_size)
-    for start in range(0, vocab_size, rows):
-        symbols = np.arange(start, min(start + rows, vocab_size))
-        row[start:start + rows] = _token_entropies(
-            np.full(symbols.size, eps), symbols, vocab_size)
-    row.flags.writeable = False
-    return row
+def _constant_target_entropy(target: float, vocab_size: int) -> float:
+    """Token entropy of a zero-jitter target. Zero-jitter targets are
+    profile constants, so their solve repeats on every call; jittered
+    targets are fresh per call and never come here."""
+    return float(_mixture_entropy(solve_mixture_eps(target, vocab_size), vocab_size)[0])
 
 
 def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
@@ -488,12 +459,10 @@ def mock_execute(profile: MockProfile, prompt: Prompt, task_tag: str,
         # targets need no range check.
         targets = np.minimum(np.maximum(target + jitter * rng.standard_normal(count),
                                         0.0), math.log(vocab))
-        eps = _solve(targets, vocab)
-        top_symbol, nonce = _mock_draws(rng, count, vocab)
-        entropies = _token_entropies(eps, top_symbol, vocab)
+        entropies = _mixture_entropy(_solve(targets, vocab), vocab)
     else:
-        top_symbol, nonce = _mock_draws(rng, count, vocab)
-        entropies = _constant_target_row(float(target), vocab)[top_symbol]
+        entropies = np.full(count, _constant_target_entropy(float(target), vocab))
+    nonce = _mock_draws(rng, count, vocab)
     text = profile.response_template.format(
         agent_id=profile.agent_id, step=step_index, tag=task_tag, nonce=nonce)
     return AgentResponse(

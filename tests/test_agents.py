@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -182,13 +183,20 @@ def test_mock_interior_target_with_bisection_oracle():
     assert abs(mixture_entropy(impl_eps) - 1.0) <= 1e-9
 
 
+def _xlogx(p):
+    out = np.zeros_like(p)
+    nz = p > 0.0
+    out[nz] = p[nz] * np.log(p[nz])
+    return out
+
+
 def _mixture_entropy(eps, vocab_size):
     # Entropy of (1 - eps) * point_mass + eps * uniform(vocab_size) through
     # the zero-masked x log x.
     eps = np.asarray(eps, dtype=np.float64)
     p_top = (1.0 - eps) + eps / vocab_size
     p_rest = eps / vocab_size
-    return -(agents._xlogx(p_top) + (vocab_size - 1) * agents._xlogx(p_rest))
+    return -(_xlogx(p_top) + (vocab_size - 1) * _xlogx(p_rest))
 
 
 def _reference_solve_mixture_eps(targets, vocab_size, tol=1e-9):
@@ -488,10 +496,31 @@ def test_mock_jittered_responses_match_reference_solver(monkeypatch):
         assert gap.max() <= _contract(profile.vocab_size) + 1e-9
 
 
+def _closed_form_entropies(eps, vocab):
+    # The mock's token entropy, -(p_top ln p_top + (V - 1) p_rest ln p_rest)
+    # in that order, +0.0 at eps = 0.
+    return _mixture_entropy(eps, vocab) + 0.0
+
+
+def _matrix_entropies(eps, top_symbol, vocab):
+    # Each token's entropy summed over its row of the (tokens, vocab) matrix
+    # of mixtures with the zero-masked x log x: the form the mock once
+    # computed, kept as an accuracy oracle for the closed form.
+    dists = np.repeat((eps / vocab)[:, None], vocab, axis=1)
+    dists[np.arange(eps.size), top_symbol] += 1.0 - eps
+    return -_xlogx(dists).sum(axis=1) + 0.0
+
+
+def _assert_matches_matrix(entropies, matrix, vocab):
+    gap = np.abs(np.subtract(entropies, matrix))
+    assert gap.max() <= 1e-14 * max(math.log(vocab), 1.0), (vocab, gap.max())
+
+
 def _reference_mock_entropies(profile, seed):
-    """The mock computation without any memo: eps solved on every call,
-    then the (tokens, vocab) matrix and x log x, with the top symbols from
-    Generator.integers and the nonce from Generator.bytes. Returns
+    """The mock computation without any memo: eps solved on every call and
+    each token's entropy from the closed form, with the top symbols from
+    Generator.integers and the nonce from Generator.bytes. The matrix form
+    over those top symbols must agree within 1e-14 * max(ln V, 1). Returns
     (token_entropies, predictive_entropy, text) as mock_execute does at
     step 1."""
     target, jitter = profile.skill_map["default"]
@@ -503,21 +532,12 @@ def _reference_mock_entropies(profile, seed):
     else:
         targets = np.full(count, float(target))
     eps = solve_mixture_eps(targets, vocab)
+    entropies = _closed_form_entropies(eps, vocab)
     top_symbol = rng.integers(0, vocab, size=count)
-    dists = np.repeat((eps / vocab)[:, None], vocab, axis=1)
-    dists[np.arange(count), top_symbol] += 1.0 - eps
-    entropies = -agents._xlogx(dists).sum(axis=1) + 0.0
+    _assert_matches_matrix(entropies, _matrix_entropies(eps, top_symbol, vocab), vocab)
     text = profile.response_template.format(
         agent_id=profile.agent_id, step=1, tag="default", nonce=rng.bytes(4).hex())
     return tuple(float(e) for e in entropies), float(np.mean(entropies)), text
-
-
-def _reference_row(target, vocab):
-    # Row s of one (vocab, vocab) matrix holds a token whose top symbol is s.
-    eps = solve_mixture_eps(target, vocab)[0]
-    dists = np.full((vocab, vocab), eps / vocab)
-    dists[np.arange(vocab), np.arange(vocab)] += 1.0 - eps
-    return -agents._xlogx(dists).sum(axis=1) + 0.0
 
 
 def _bytes(values):
@@ -549,10 +569,8 @@ def _assert_draws_match(seed, count, vocab, after_normals):
     if after_normals:
         fast.standard_normal(count)
         slow.standard_normal(count)
-    symbols, nonce = agents._mock_draws(fast, count, vocab)
-    expected_symbols, expected_nonce = _reference_draws(slow, count, vocab)
-    assert symbols.tolist() == expected_symbols.tolist()
-    assert nonce == expected_nonce
+    _, expected_nonce = _reference_draws(slow, count, vocab)
+    assert agents._mock_draws(fast, count, vocab) == expected_nonce
 
 
 # 2**31 + 1 and 3 * 2**30 reject about a half and a quarter of their draws,
@@ -579,9 +597,14 @@ def test_mock_draws_match_generator_for_any_vocab(vocab, count, seed, after_norm
 
 
 def test_mock_constant_target_memo_cold_and_warm_agree():
-    memo = agents._constant_target_row
+    memo = agents._constant_target_entropy
     for vocab in (2, 16, 50):
         for target in (0.0, 0.3, 0.69, math.log(vocab)):
+            eps = solve_mixture_eps(target, vocab)
+            reference = _closed_form_entropies(eps, vocab)
+            # Every top symbol's row of the (vocab, vocab) matrix.
+            matrix = _matrix_entropies(np.repeat(eps, vocab), np.arange(vocab), vocab)
+            _assert_matches_matrix(np.repeat(reference, vocab), matrix, vocab)
             for seed in (1, 2):
                 memo.cache_clear()
                 cold = mock_execute(_profile(target, vocab=vocab), Prompt("x"),
@@ -590,31 +613,58 @@ def test_mock_constant_target_memo_cold_and_warm_agree():
                                     "default", seed=seed)
                 assert memo.cache_info().hits == 1
                 assert cold == warm
-                reference = _reference_row(target, vocab)
-                assert memo(float(target), vocab).tobytes() == reference.tobytes()
+                assert _bytes(memo(float(target), vocab)) == reference.tobytes()
+                assert _bytes(cold.token_entropies) == _bytes(np.repeat(reference, 12))
 
 
 def test_mock_jittered_targets_bypass_the_memo():
     mock_execute(_profile(0.8), Prompt("x"), "default", seed=1)
-    before = agents._constant_target_row.cache_info()
+    before = agents._constant_target_entropy.cache_info()
     for seed in range(5):
         mock_execute(_profile(0.8, jitter=0.25), Prompt("x"), "default", seed=seed)
-    after = agents._constant_target_row.cache_info()
+    after = agents._constant_target_entropy.cache_info()
     assert after.currsize == before.currsize
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_mock_constant_target_row_built_in_chunks_is_bitwise(monkeypatch, chunk):
-    # A large vocabulary builds its row a few symbols at a time; the chunk
-    # size changes no bits.
-    monkeypatch.setattr(agents, "_ROW_CHUNK", chunk * 9)
-    for target in (0.0, 1.1, math.log(9)):
-        agents._constant_target_row.cache_clear()
-        row = agents._constant_target_row(target, 9)
-        assert row.tobytes() == _reference_row(target, 9).tobytes()
-        assert not row.flags.writeable
-    agents._constant_target_row.cache_clear()
+def test_mock_zero_jitter_entropies_tie_across_tokens_seeds_and_agents():
+    # A zero-jitter target has one token entropy per (target, vocab): the
+    # same for every token, seed and agent, within the contract of its
+    # target. The ranking loss reads such agents as ties. (At vocab 7, 50
+    # and 130 these targets once read per-top-symbol rows whose entries
+    # differed in the last bit.)
+    for vocab in (2, 7, 16, 50, 130, 2**20):
+        for target in (0.0, 0.2, 0.5, min(1.0, math.log(vocab)), math.log(vocab)):
+            rows = {_bytes(mock_execute(_profile(target, vocab=vocab, agent_id=agent_id),
+                                        Prompt("x"), "default", seed=seed).token_entropies)
+                    for agent_id in (0, 3) for seed in range(10)}
+            assert len(rows) == 1
+            entropies = np.frombuffer(rows.pop())
+            assert (entropies == entropies[0]).all()
+            assert abs(entropies[0] - target) <= _contract(vocab)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.1])
+@pytest.mark.parametrize("vocab", [2**20, 2**32])
+def test_mock_large_vocab_meets_the_contract_in_little_memory(vocab, jitter):
+    # No (tokens, vocab) matrix and no per-symbol row: a cold call, the
+    # 512 KiB entropy table's build included, stays under 2 MB.
+    target = 0.6 * math.log(vocab)
+    profile = _profile(target, jitter=jitter, vocab=vocab, tokens=40)
+    agents._entropy_table.cache_clear()
+    agents._constant_target_entropy.cache_clear()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        resp = mock_execute(profile, Prompt("x"), "default", seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    normals = np.random.default_rng(9).standard_normal(40)
+    targets = np.clip(target + jitter * normals, 0.0, math.log(vocab))
+    error = np.abs(np.subtract(resp.token_entropies, targets))
+    assert error.max() <= _contract(vocab), error.max()
 
 
 def test_mock_hits_any_target_on_a_grid():

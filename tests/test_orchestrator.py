@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,8 @@ from agentroute.orchestrator import (OrchestrationError, Runtime,
                                      TrainingSettings, infer, test_time_train,
                                      train)
 from agentroute.router import init_params
-from agentroute.synthetic import make_queries, make_tagged_pool
+from agentroute.synthetic import expected_entropies, make_queries, make_tagged_pool, \
+    query_tag
 
 
 def _runtime(pool_size=4, *, final_at_step=0, skill=None, max_workers=1,
@@ -404,6 +406,30 @@ def test_ttt_dense_then_sparse_structure():
         assert traj.total_agent_calls == sum(rec.k for rec in traj.steps)
     # adaptation actually moved the parameters
     assert not np.array_equal(params.flat, init_params(config).flat)
+
+
+def test_ttt_dense_entropies_tie_for_agents_with_the_same_target():
+    # Zero-jitter mocks report one token entropy per (target, vocab), so the
+    # dense rows tie bitwise for agents that share a target, and each entry
+    # meets the mock's contract 1e-9 * max(ln V, 1) for its target. At
+    # vocab 7 both targets once read a per-top-symbol row whose entries
+    # differed in the last bit.
+    vocab = 7
+    specs, profiles = make_tagged_pool(4, {"alpha": (0, 2)}, low=0.2, high=1.0,
+                                       vocab_size=vocab)
+    runtime = Runtime(pool=MockPoolBackend(specs, profiles), summarizer=MockSummarizer(),
+                      embed=HashEmbedder(16))
+    config = _config(train_steps=2, max_steps=3)
+    queries = make_queries(["alpha", "beta"], 12, seed=5)
+    _, trajectories = test_time_train(runtime, queries, init_params(config), config,
+                                      TrainingSettings(batch_size=5, epochs=1), 10)
+    for traj in trajectories[:10]:
+        targets = expected_entropies(runtime.pool.profiles, query_tag(traj.query))
+        for rec in traj.steps:
+            for target in np.unique(targets):
+                tied = rec.entropy_E[targets == target]
+                assert (tied == tied[0]).all()
+            assert np.abs(rec.entropy_E - targets).max() <= 1e-9 * max(math.log(vocab), 1.0)
 
 
 def test_ttt_requires_enough_queries():
